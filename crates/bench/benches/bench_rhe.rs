@@ -1,5 +1,8 @@
 //! Criterion bench: RHE solve cost per task and candidate-pool size
-//! (EXT-QUALITY / EXT-SCALING companion).
+//! (EXT-QUALITY / EXT-SCALING companion), plus `rhe_solve/tweak`: the
+//! snapshot re-solve regime of the explain server — a geo cube (the
+//! server's default options) re-solved at k = 5, α = 0.45, where most of
+//! the climb runs below the coverage target.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maprat_bench::dataset;
@@ -37,6 +40,17 @@ fn bench_rhe(c: &mut Criterion) {
                 |b, p| b.iter(|| black_box(rhe::solve(p, task, &params))),
             );
         }
+    }
+
+    let geo = RatingCube::build(d, idx, CubeOptions::default());
+    let tweak = MiningProblem::new(&geo, 5, 0.45, 0.5);
+    let params = RheParams::default();
+    for task in Task::ALL {
+        group.bench_with_input(
+            BenchmarkId::new("tweak", format!("{task:?}_{}", geo.len())),
+            &tweak,
+            |b, p| b.iter(|| black_box(rhe::solve(p, task, &params))),
+        );
     }
     group.finish();
 }

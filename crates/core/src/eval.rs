@@ -18,7 +18,10 @@
 //!   push/pop, plus lazily rebuilt per-slot "rest unions" (the union of
 //!   every member except one) so a swap or drop probe is a single
 //!   `union_count` / stored popcount;
-//! * an `O(1)` membership mask replacing the `O(k)` `contains` scan.
+//! * an `O(1)` membership mask replacing the `O(k)` `contains` scan;
+//! * a batch objective probe over a prefix of the candidates in
+//!   descending support order, bit-identical to the single-move probe,
+//!   which the solver's neighbour scan streams slot by slot.
 //!
 //! Aggregates are recomputed exactly (not drifted) whenever the selection
 //! itself changes, so a long random walk stays within float-association
@@ -317,6 +320,72 @@ impl<'p, 'c> SelectionEval<'p, 'c> {
         }
     }
 
+    /// [`probe_objective`](Self::probe_objective) for a run of candidates
+    /// at once: `out[r]` receives the objective of swapping the `r`-th
+    /// candidate in descending support order into slot `pos` (or adding
+    /// it, when `pos` is `None`), for `r < out.len()`. Entries for current
+    /// members are meaningless; callers skip them.
+    ///
+    /// Every entry performs the same float operations in the same order
+    /// as the single-move probe, so the two agree bit for bit. The pass
+    /// reads contiguous columns and has no per-candidate branch: the
+    /// Diversity pairwise-gap delta is accumulated member by member over
+    /// the whole run, then the score is assembled in one sweep.
+    pub(crate) fn probe_objectives_by_support(
+        &self,
+        task: Task,
+        pos: Option<usize>,
+        out: &mut [f64],
+    ) {
+        let p = self.problem;
+        let cols = &p.by_support;
+        let len = out.len();
+        let k = self.members.len();
+        let f = self.frames[k];
+        // The outgoing member's terms come off first, exactly as in
+        // `probe_objective`; the incoming candidate's are added below.
+        let (size, base_weighted, base_total, mean_out) = match pos {
+            Some(pos) => {
+                let (n_out, mad_out, mean_out) = p.cand(self.members[pos]);
+                (
+                    k,
+                    f.err_weighted - n_out * mad_out,
+                    f.err_total - n_out,
+                    Some(mean_out),
+                )
+            }
+            None => (k + 1, f.err_weighted, f.err_total, None),
+        };
+        // `out` first holds each entry's pairwise-gap sum (only Diversity
+        // reads it), then the finished objective.
+        if task == Task::Diversity {
+            let means = &cols.mean[..len];
+            out.fill(f.pair_sum);
+            for (j, &other) in self.members.iter().enumerate() {
+                if pos == Some(j) {
+                    continue;
+                }
+                let m = p.cand_mean[other];
+                match mean_out {
+                    Some(mean_out) => {
+                        let gap_out = (mean_out - m).abs();
+                        for (pair, &mean_in) in out.iter_mut().zip(means) {
+                            *pair += (mean_in - m).abs() - gap_out;
+                        }
+                    }
+                    None => {
+                        for (pair, &mean_in) in out.iter_mut().zip(means) {
+                            *pair += (mean_in - m).abs();
+                        }
+                    }
+                }
+            }
+        }
+        for ((obj, &nmad), &n) in out.iter_mut().zip(&cols.nmad[..len]).zip(&cols.n[..len]) {
+            *obj = p.score_from_parts(task, size, base_weighted + nmad, base_total + n, *obj);
+        }
+    }
+
     /// Rebuilds frames / prefix unions / covered counts for depths
     /// `from..len` (earlier depths are untouched and already exact).
     fn recompute_from(&mut self, from: usize) {
@@ -483,6 +552,36 @@ mod tests {
         eval.apply(Move::Drop { pos: 3 });
         assert_matches_naive(&eval, &[0, 1, 2]);
         assert!((eval.coverage() - before).abs() < 1e-15);
+    }
+
+    #[test]
+    fn batch_probe_matches_single_probes_bit_for_bit() {
+        let (_, cube) = fixture();
+        let p = MiningProblem::new(&cube, 4, 0.2, 0.7);
+        let m = p.pool_size();
+        let mut eval = SelectionEval::new(&p);
+        let mut out = vec![0.0; m];
+        for sel in [vec![0], vec![3, 1], vec![2, 0, 4]] {
+            eval.reset(&sel);
+            for task in Task::ALL {
+                for pos in (0..sel.len()).map(Some).chain([None]) {
+                    let len = m - sel.len();
+                    eval.probe_objectives_by_support(task, pos, &mut out[..len]);
+                    for (r, &obj) in out[..len].iter().enumerate() {
+                        let candidate = p.by_support.index[r] as usize;
+                        if eval.contains(candidate) {
+                            continue;
+                        }
+                        let mv = match pos {
+                            Some(pos) => Move::Swap { pos, candidate },
+                            None => Move::Add { candidate },
+                        };
+                        let single = eval.probe_objective(task, mv);
+                        assert_eq!(obj.to_bits(), single.to_bits(), "{task:?} {mv:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,9 +40,10 @@ impl Task {
 /// A mining problem instance: candidate pool + constraints.
 ///
 /// Construction precomputes per-candidate scalars (support, mean, mean
-/// absolute deviation) and the descending-support prefix sums, so the
-/// solver's inner loops and [`max_achievable_coverage`] never re-derive
-/// them from the cube's aggregates.
+/// absolute deviation) and the candidate order by descending support with
+/// those scalars permuted into it, so the solver's inner loops and
+/// [`max_achievable_coverage`] never re-derive them from the cube's
+/// aggregates.
 ///
 /// [`max_achievable_coverage`]: MiningProblem::max_achievable_coverage
 pub struct MiningProblem<'a> {
@@ -55,16 +56,15 @@ pub struct MiningProblem<'a> {
     pub dm_lambda: f64,
     /// Per-candidate `stats.count()` as `f64`.
     pub(crate) cand_n: Vec<f64>,
-    /// Per-candidate `stats.count()` as integers — the solver's bound
-    /// gates compare these against precomputed integer thresholds (one
-    /// add + compare per scanned candidate, no float division).
+    /// Per-candidate `stats.count()` as integers.
     pub(crate) cand_support: Vec<u32>,
     /// Per-candidate mean absolute deviation.
     pub(crate) cand_mad: Vec<f64>,
     /// Per-candidate mean rating.
     pub(crate) cand_mean: Vec<f64>,
-    /// `support_prefix[j]` = sum of the `j` largest candidate supports.
-    support_prefix: Vec<usize>,
+    /// The pool by descending support, with the scalars the neighbour
+    /// scan reads permuted into that order.
+    pub(crate) by_support: SupportOrder,
     /// Sparse cover word entries, all candidates concatenated: candidate
     /// `i` owns `word_idx/word_bits[word_offsets[i]..word_offsets[i+1]]`
     /// — only its covers' *non-zero* blocks. Coverage probes intersect
@@ -92,13 +92,7 @@ impl<'a> MiningProblem<'a> {
             .iter()
             .map(|g| g.stats.mean().unwrap_or(0.0))
             .collect();
-        let mut supports: Vec<usize> = groups.iter().map(|g| g.support()).collect();
-        supports.sort_unstable_by_key(|&s| std::cmp::Reverse(s));
-        let mut support_prefix = Vec::with_capacity(supports.len() + 1);
-        support_prefix.push(0);
-        for s in supports {
-            support_prefix.push(support_prefix.last().expect("non-empty prefix") + s);
-        }
+        let by_support = SupportOrder::new(&cand_support, &cand_n, &cand_mad, &cand_mean);
         let mut word_idx: Vec<u32> = Vec::new();
         let mut word_bits: Vec<u64> = Vec::new();
         let mut word_offsets: Vec<u32> = Vec::with_capacity(groups.len() + 1);
@@ -119,7 +113,7 @@ impl<'a> MiningProblem<'a> {
             cand_support,
             cand_mad,
             cand_mean,
-            support_prefix,
+            by_support,
             word_idx,
             word_bits,
             word_offsets,
@@ -164,6 +158,7 @@ impl<'a> MiningProblem<'a> {
     /// `pair_sum` is `Σ_{i<j} |mean_i − mean_j|` over the `k` members.
     /// Single source of truth shared by the naive evaluation below and the
     /// incremental [`SelectionEval`](crate::eval::SelectionEval).
+    #[inline]
     pub(crate) fn score_from_parts(
         &self,
         task: Task,
@@ -301,14 +296,59 @@ impl<'a> MiningProblem<'a> {
     /// unachievable, in which case the solver reports
     /// `meets_coverage = false` on its best effort.
     ///
-    /// `O(1)`: the descending-support prefix sums are computed once at
-    /// construction instead of cloning and sorting the pool per call.
+    /// `O(k)`: the pool is kept in descending support order, so the `k`
+    /// largest supports are the head of that order.
     pub fn max_achievable_coverage(&self) -> f64 {
         if self.cube.universe() == 0 {
             return 0.0;
         }
-        let top = self.support_prefix[self.selection_size()];
+        let top: usize = self.by_support.support[..self.selection_size()]
+            .iter()
+            .map(|&s| s as usize)
+            .sum();
         (top as f64 / self.cube.universe() as f64).min(1.0)
+    }
+}
+
+/// The candidate pool in descending support order (ties by ascending
+/// index), as parallel columns.
+///
+/// The solver's bound gates all read "support at least some threshold",
+/// so the candidates passing a gate are always a prefix of this order —
+/// one `partition_point` finds it, and the scan then streams contiguous
+/// columns instead of testing and skipping candidates one at a time.
+pub(crate) struct SupportOrder {
+    /// Pool index of each position.
+    pub(crate) index: Vec<u32>,
+    /// Support, non-increasing.
+    pub(crate) support: Vec<u32>,
+    /// `stats.count()` as `f64`.
+    pub(crate) n: Vec<f64>,
+    /// `n · mad`, the candidate's description-error weight — the same
+    /// product the single-move probes compute.
+    pub(crate) nmad: Vec<f64>,
+    /// Mean rating.
+    pub(crate) mean: Vec<f64>,
+}
+
+impl SupportOrder {
+    fn new(support: &[u32], n: &[f64], mad: &[f64], mean: &[f64]) -> Self {
+        let mut index: Vec<u32> = (0..support.len() as u32).collect();
+        index.sort_unstable_by_key(|&i| (std::cmp::Reverse(support[i as usize]), i));
+        let column = |f: &dyn Fn(usize) -> f64| index.iter().map(|&i| f(i as usize)).collect();
+        SupportOrder {
+            support: index.iter().map(|&i| support[i as usize]).collect(),
+            n: column(&|i| n[i]),
+            nmad: column(&|i| n[i] * mad[i]),
+            mean: column(&|i| mean[i]),
+            index,
+        }
+    }
+
+    /// Length of the prefix whose support is at least `need`.
+    #[inline]
+    pub(crate) fn passing(&self, need: usize) -> usize {
+        self.support.partition_point(|&s| s as usize >= need)
     }
 }
 
@@ -424,6 +464,38 @@ mod tests {
                     assert!(c <= bound + 1e-9, "{c} > {bound}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn support_order_is_descending_with_index_ties() {
+        let (_, cube) = setup();
+        let p = MiningProblem::new(&cube, 3, 0.2, 0.5);
+        let order = &p.by_support;
+        let mut seen = vec![false; p.pool_size()];
+        for (r, &i) in order.index.iter().enumerate() {
+            let i = i as usize;
+            assert!(!seen[i], "candidate {i} listed twice");
+            seen[i] = true;
+            assert_eq!(order.support[r], p.cand_support[i]);
+            assert_eq!(order.n[r].to_bits(), p.cand_n[i].to_bits());
+            assert_eq!(
+                order.nmad[r].to_bits(),
+                (p.cand_n[i] * p.cand_mad[i]).to_bits()
+            );
+            assert_eq!(order.mean[r].to_bits(), p.cand_mean[i].to_bits());
+            if r > 0 {
+                let prev = (order.support[r - 1], order.index[r - 1]);
+                assert!(
+                    prev.0 > order.support[r] || (prev.0 == order.support[r] && prev.1 < i as u32),
+                    "order broken at {r}"
+                );
+            }
+        }
+        for need in [0, 1, 5, 20, usize::MAX] {
+            let len = order.passing(need);
+            assert!(order.support[..len].iter().all(|&s| s as usize >= need));
+            assert!(order.support[len..].iter().all(|&s| (s as usize) < need));
         }
     }
 

@@ -60,7 +60,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 /// How long a coalesced follower waits on its leader before giving up
@@ -174,6 +174,10 @@ pub struct ExplorationResult {
     /// read sampled aggregates until the background refinement upgrades
     /// the entry.
     pub approx: Option<ApproxInfo>,
+    /// The serving layer's encoded response body, built on first use. A
+    /// published result never changes (an upgrade publishes a new one),
+    /// so every later cache hit can send the same bytes.
+    pub body: OnceLock<String>,
 }
 
 /// Which serving mechanism answered an explain (see
@@ -943,6 +947,7 @@ impl MapRatEngine {
                         items: items.clone(),
                         dataset: Arc::clone(dataset),
                         approx: None,
+                        body: OnceLock::new(),
                     });
                 (Some(cube), result)
             }));
@@ -1258,6 +1263,7 @@ impl MapRatEngine {
                     items,
                     dataset: Arc::clone(&dataset),
                     approx: Some(info),
+                    body: OnceLock::new(),
                 }
             });
         Some((result, ServedFrom::Cold))
@@ -1404,6 +1410,7 @@ impl MapRatEngine {
                         items: snap.items.clone(),
                         dataset: Arc::clone(&snap.dataset),
                         approx: None,
+                        body: OnceLock::new(),
                     });
                 (result, ServedFrom::SnapshotCache)
             }
@@ -1449,6 +1456,7 @@ impl MapRatEngine {
                             items,
                             dataset: Arc::clone(&dataset),
                             approx: None,
+                            body: OnceLock::new(),
                         })
                     });
                 (result, ServedFrom::Cold)

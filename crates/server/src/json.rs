@@ -137,11 +137,14 @@ impl Json {
         self.len() == Some(0)
     }
 
-    /// Parses a JSON document.
+    /// Parses a JSON document. Arrays and objects may nest at most
+    /// [`MAX_DEPTH`] deep; deeper input is a parse error, so no input can
+    /// exhaust the stack of the recursive-descent parser.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -177,9 +180,15 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every API body
+/// nests at most a handful of levels.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -224,11 +233,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -425,6 +449,18 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse(r#""\q""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+        // Far past the limit, unterminated: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

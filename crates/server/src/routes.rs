@@ -148,14 +148,19 @@ impl AppState {
         let (result, served) = self.engine.explain_opts(&request, &budget, mode);
         let response = match &*result {
             Ok(r) => {
-                let mut body = ExplainResponse::from_explanation(&r.explanation);
-                // A sampled answer carries its error contract; the header
-                // (hit-approx) and this block disappear together once the
-                // background refinement upgrades the cache entry.
-                if let Some(info) = &r.approx {
-                    body = body.with_approx(info);
-                }
-                Response::json(body.to_json().render())
+                // Encoded once per published result; every later hit
+                // sends the same bytes.
+                let body = r.body.get_or_init(|| {
+                    let mut body = ExplainResponse::from_explanation(&r.explanation);
+                    // A sampled answer carries its error contract; the
+                    // header (hit-approx) and this block disappear together
+                    // once the background refinement upgrades the entry.
+                    if let Some(info) = &r.approx {
+                        body = body.with_approx(info);
+                    }
+                    body.to_json().render()
+                });
+                Response::json(body.clone())
             }
             Err(e) => ApiError::from_mine(e).into_response(),
         };
@@ -722,6 +727,21 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_rejected_and_server_survives() {
+        let s = server();
+        let body = "[".repeat(200 * 1024);
+        let (status, reply) = post(s.port(), "/api/v1/explain", &body);
+        assert_eq!(status, 400, "{reply}");
+        let v = Json::parse(&reply).unwrap();
+        assert_eq!(
+            v.get("error").unwrap().get("code").unwrap().as_str(),
+            Some("bad_request")
+        );
+        let (status, stats) = get(s.port(), "/api/v1/stats");
+        assert_eq!(status, 200, "{stats}");
+    }
+
+    #[test]
     fn put_is_method_not_allowed() {
         let s = server();
         let mut stream = TcpStream::connect(("127.0.0.1", s.port())).unwrap();
@@ -956,11 +976,12 @@ mod tests {
     fn explain_reports_cache_tier_in_header() {
         let s = server(); // fresh engine → cold caches
         let target = "/api/v1/explain?q=Toy+Story&coverage=0.1&geo=0";
-        let (status, head, _) = get_full(s.port(), target);
+        let (status, head, miss_body) = get_full(s.port(), target);
         assert_eq!(status, 200);
         assert_eq!(cache_header(&head).as_deref(), Some("miss"));
-        let (_, head, _) = get_full(s.port(), target);
+        let (_, head, hit_body) = get_full(s.port(), target);
         assert_eq!(cache_header(&head).as_deref(), Some("hit"));
+        assert_eq!(hit_body, miss_body, "a hit sends the body the miss encoded");
         // Errors carry the header too (negative caching).
         let (status, head, _) = get_full(s.port(), "/api/v1/explain?q=No+Such+Movie");
         assert_eq!(status, 404);
