@@ -24,6 +24,7 @@
 //! [--max-regress R]` gates the latency-shaped keys against a committed
 //! snapshot.
 
+use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{ms, percentile, tail};
 use maprat_bench::{dataset_arc, Scale, ShapeCheck};
 use maprat_core::query::ItemQuery;
@@ -32,7 +33,7 @@ use maprat_data::synth::{generate, SynthConfig};
 use maprat_data::{AgeGroup, Gender, MonthKey, Occupation, Score, Timestamp, Zip};
 use maprat_explore::MapRatEngine;
 use maprat_ingest::{IngestBuffer, IngestService, ItemSpec, NewUser, RatingEvent, UserSpec};
-use maprat_server::{AppState, HttpServer, Json};
+use maprat_server::{AppState, HttpServer};
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -281,35 +282,6 @@ fn run_overload(port: u16, clients: usize, per_client: usize, warm: &str) -> Ove
     outcome
 }
 
-fn gate_against_baseline(snapshot: &Json, baseline_path: &str, max_regress: f64) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = Json::parse(&text).expect("baseline must be valid JSON");
-    let mut failures = Vec::new();
-    for key in GATED_KEYS {
-        let Some(base) = baseline.get(key).and_then(Json::as_f64) else {
-            println!("[gate] {key:<30} absent from baseline — skipped");
-            continue;
-        };
-        let new = snapshot
-            .get(key)
-            .and_then(Json::as_f64)
-            .expect("snapshot carries every gated key");
-        let limit = base * (1.0 + max_regress);
-        let verdict = if new <= limit { "ok" } else { "REGRESSED" };
-        println!(
-            "[gate] {key:<30} baseline {base:>9.4} ms | now {new:>9.4} ms | limit {limit:>9.4} ms | {verdict}"
-        );
-        if new > limit {
-            failures.push(format!(
-                "{key}: {new:.4} ms exceeds {limit:.4} ms (baseline {base:.4} ms +{:.0}%)",
-                max_regress * 100.0
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     // Child mode first: everything else in this binary must not run.
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -321,21 +293,16 @@ fn main() {
     let mut batch = 256usize;
     let mut cycles = 3usize;
     let mut out_path = "BENCH_pr8.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut max_regress = 0.5f64;
+    let mut gate = GateArgs::new(0.5);
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
+        if gate.accept(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
             "--commits" => commits = args.next().and_then(|v| v.parse().ok()).unwrap_or(commits),
             "--batch" => batch = args.next().and_then(|v| v.parse().ok()).unwrap_or(batch),
             "--cycles" => cycles = args.next().and_then(|v| v.parse().ok()).unwrap_or(cycles),
-            "--baseline" => baseline = args.next(),
-            "--max-regress" => {
-                max_regress = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(max_regress)
-            }
             "--check" => {}
             bare if !bare.starts_with("--") => out_path = bare.to_string(),
             unknown => eprintln!("[exp_chaos] ignoring unknown flag {unknown}"),
@@ -536,20 +503,5 @@ fn main() {
     );
     check.finish();
 
-    if let Some(baseline_path) = baseline {
-        let snapshot = Json::parse(&json).expect("own snapshot is valid JSON");
-        let failures = gate_against_baseline(&snapshot, &baseline_path, max_regress);
-        if failures.is_empty() {
-            println!(
-                "[gate] pass: no gated metric regressed more than {:.0}% vs {baseline_path}",
-                max_regress * 100.0
-            );
-        } else {
-            eprintln!("[gate] FAIL vs {baseline_path}:");
-            for f in &failures {
-                eprintln!("[gate]   {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate.enforce(&json, &GATED_KEYS, 30);
 }

@@ -23,6 +23,7 @@
 //! perf-gate mode — throughput is machine-dependent, so only the
 //! latency-shaped keys are gated).
 
+use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{ms, percentile, tail};
 use maprat_bench::{dataset_arc, Scale, ShapeCheck};
 use maprat_core::query::ItemQuery;
@@ -31,7 +32,6 @@ use maprat_cube::{CubeOptions, RatingCube};
 use maprat_data::{AgeGroup, Gender, MonthKey, Occupation, Score, Timestamp, Zip};
 use maprat_explore::MapRatEngine;
 use maprat_ingest::{IngestBuffer, IngestService, ItemSpec, NewUser, RatingEvent, UserSpec};
-use maprat_server::Json;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -104,55 +104,21 @@ fn run_reader(
     }
 }
 
-fn gate_against_baseline(snapshot: &Json, baseline_path: &str, max_regress: f64) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = Json::parse(&text).expect("baseline must be valid JSON");
-    let mut failures = Vec::new();
-    for key in GATED_KEYS {
-        let Some(base) = baseline.get(key).and_then(Json::as_f64) else {
-            println!("[gate] {key:<30} absent from baseline — skipped");
-            continue;
-        };
-        let new = snapshot
-            .get(key)
-            .and_then(Json::as_f64)
-            .expect("snapshot carries every gated key");
-        let limit = base * (1.0 + max_regress);
-        let verdict = if new <= limit { "ok" } else { "REGRESSED" };
-        println!(
-            "[gate] {key:<30} baseline {base:>9.4} ms | now {new:>9.4} ms | limit {limit:>9.4} ms | {verdict}"
-        );
-        if new > limit {
-            failures.push(format!(
-                "{key}: {new:.4} ms exceeds {limit:.4} ms (baseline {base:.4} ms +{:.0}%)",
-                max_regress * 100.0
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let mut commits = 8usize;
     let mut batch = 64usize;
     let mut readers = 2usize;
     let mut out_path = "BENCH_pr7.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut max_regress = 0.25f64;
+    let mut gate = GateArgs::new(0.25);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if gate.accept(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
             "--commits" => commits = args.next().and_then(|v| v.parse().ok()).unwrap_or(commits),
             "--batch" => batch = args.next().and_then(|v| v.parse().ok()).unwrap_or(batch),
             "--readers" => readers = args.next().and_then(|v| v.parse().ok()).unwrap_or(readers),
-            "--baseline" => baseline = args.next(),
-            "--max-regress" => {
-                max_regress = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(max_regress)
-            }
             "--check" => {}
             bare if !bare.starts_with("--") => out_path = bare.to_string(),
             unknown => eprintln!("[exp_ingest] ignoring unknown flag {unknown}"),
@@ -332,20 +298,5 @@ fn main() {
     );
     check.finish();
 
-    if let Some(baseline_path) = baseline {
-        let snapshot = Json::parse(&json).expect("own snapshot is valid JSON");
-        let failures = gate_against_baseline(&snapshot, &baseline_path, max_regress);
-        if failures.is_empty() {
-            println!(
-                "[gate] pass: no gated metric regressed more than {:.0}% vs {baseline_path}",
-                max_regress * 100.0
-            );
-        } else {
-            eprintln!("[gate] FAIL vs {baseline_path}:");
-            for f in &failures {
-                eprintln!("[gate]   {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate.enforce(&json, &GATED_KEYS, 30);
 }

@@ -24,13 +24,13 @@
 //! `explain_snapshot_hit_ms` (solve-only re-mining off the snapshot
 //! tier) for the materialization and serving trajectories.
 
+use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{summarize, time_n, time_once};
 use maprat_bench::{dataset, dataset_arc, Scale};
 use maprat_core::query::{ItemQuery, QueryTerm};
 use maprat_core::{parallel, rhe, Budget, MiningProblem, RheParams, SearchSettings, Task};
 use maprat_cube::{CubeOptions, RatingCube};
 use maprat_explore::{ExplainRequest, MapRatEngine, TimeSlider};
-use maprat_server::Json;
 use std::fmt::Write as _;
 use std::hint::black_box;
 
@@ -47,51 +47,15 @@ const GATED_KEYS: [&str; 5] = [
     "explain_coalesced_p99_ms",
 ];
 
-/// Compares the gated metrics of `snapshot` against `baseline_path`;
-/// returns the failure messages (empty = gate passes).
-fn gate_against_baseline(snapshot: &Json, baseline_path: &str, max_regress: f64) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = Json::parse(&text).expect("baseline must be valid JSON");
-    let mut failures = Vec::new();
-    for key in GATED_KEYS {
-        let Some(base) = baseline.get(key).and_then(Json::as_f64) else {
-            println!("[gate] {key:<26} absent from baseline — skipped");
-            continue;
-        };
-        let new = snapshot
-            .get(key)
-            .and_then(Json::as_f64)
-            .expect("snapshot carries every gated key");
-        let limit = base * (1.0 + max_regress);
-        let verdict = if new <= limit { "ok" } else { "REGRESSED" };
-        println!(
-            "[gate] {key:<26} baseline {base:>9.4} ms | now {new:>9.4} ms | limit {limit:>9.4} ms | {verdict}"
-        );
-        if new > limit {
-            failures.push(format!(
-                "{key}: {new:.4} ms exceeds {limit:.4} ms (baseline {base:.4} ms +{:.0}%)",
-                max_regress * 100.0
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let mut out_path: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut max_regress = 0.25f64;
+    let mut gate = GateArgs::new(0.25);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if gate.accept(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--baseline" => baseline = args.next(),
-            "--max-regress" => {
-                max_regress = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(max_regress)
-            }
             bare if !bare.starts_with("--") => out_path = Some(bare.to_string()),
             unknown => eprintln!("[exp_perf_snapshot] ignoring unknown flag {unknown}"),
         }
@@ -217,10 +181,12 @@ fn main() {
         elapsed.as_secs_f64() * 1e3
     };
 
-    // Fused batch explain (PR 10): an 8-query precompute-style set served
-    // as ONE `explain_batch` call — all members share a single combined
-    // cube build, each deriving its own cube from it — vs the same 8
-    // requests solved sequentially on an equally cold engine.
+    // Batch explain: an 8-query precompute-style set served as ONE
+    // `explain_batch` call (a pool fan-out of the single-explain
+    // pipeline) vs the same 8 requests explained sequentially. Each
+    // round times both on fresh (cold) engines, alternating which goes
+    // first so neither inherits a warmer process; the medians are
+    // reported.
     let batch_requests: Vec<ExplainRequest> = [
         "Toy Story",
         "Jaws",
@@ -236,22 +202,40 @@ fn main() {
     .map(|q| ExplainRequest::new(q, settings.clone()))
     .collect();
     let (explain_batch8_ms, explain_sequential8_ms) = {
-        let engine = MapRatEngine::new(dataset_arc());
+        const ROUNDS: usize = 5;
         let budget = Budget::unlimited();
-        let (outcomes, batch_elapsed) =
-            time_once(|| engine.explain_batch(&batch_requests, &budget));
-        for (result, _) in &outcomes {
-            assert!(result.is_ok(), "batch explain must succeed");
-        }
-        let sequential = MapRatEngine::new(dataset_arc());
-        let ((), seq_elapsed) = time_once(|| {
-            for request in &batch_requests {
-                assert!(sequential.explain(request).is_ok(), "sequential explain");
+        let time_batch = || {
+            let engine = MapRatEngine::new(dataset_arc());
+            let (outcomes, elapsed) = time_once(|| engine.explain_batch(&batch_requests, &budget));
+            for (result, _) in &outcomes {
+                assert!(result.is_ok(), "batch explain must succeed");
             }
-        });
+            elapsed
+        };
+        let time_sequential = || {
+            let engine = MapRatEngine::new(dataset_arc());
+            let ((), elapsed) = time_once(|| {
+                for request in &batch_requests {
+                    assert!(engine.explain(request).is_ok(), "sequential explain");
+                }
+            });
+            elapsed
+        };
+        let (mut batch, mut sequential) = (Vec::new(), Vec::new());
+        for round in 0..ROUNDS {
+            if round % 2 == 0 {
+                batch.push(time_batch());
+                sequential.push(time_sequential());
+            } else {
+                sequential.push(time_sequential());
+                batch.push(time_batch());
+            }
+        }
+        batch.sort_unstable();
+        sequential.sort_unstable();
         (
-            batch_elapsed.as_secs_f64() * 1e3,
-            seq_elapsed.as_secs_f64() * 1e3,
+            summarize(&batch).p50.as_secs_f64() * 1e3,
+            summarize(&sequential).p50.as_secs_f64() * 1e3,
         )
     };
 
@@ -316,20 +300,5 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write perf snapshot");
     println!("wrote {out_path}:\n{json}");
 
-    if let Some(baseline_path) = baseline {
-        let snapshot = Json::parse(&json).expect("own snapshot is valid JSON");
-        let failures = gate_against_baseline(&snapshot, &baseline_path, max_regress);
-        if failures.is_empty() {
-            println!(
-                "[gate] pass: no gated metric regressed more than {:.0}% vs {baseline_path}",
-                max_regress * 100.0
-            );
-        } else {
-            eprintln!("[gate] FAIL vs {baseline_path}:");
-            for f in &failures {
-                eprintln!("[gate]   {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate.enforce(&json, &GATED_KEYS, 26);
 }

@@ -22,12 +22,12 @@
 //! local run can never clobber what the gate compares against).
 
 use maprat_approx::{ApproxInfo, StratifiedSampler, DEFAULT_CONFIDENCE};
+use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{ms, time_once};
 use maprat_bench::{dataset, table::Table, Scale, ShapeCheck};
 use maprat_core::query::ItemQuery;
 use maprat_core::{parallel, rhe, Miner, MiningProblem, RheParams, SearchSettings, Task};
 use maprat_cube::{CubeOptions, RatingCube};
-use maprat_server::Json;
 use std::fmt::Write as _;
 
 /// The sampling fraction the crossover is measured at — the
@@ -50,52 +50,15 @@ struct CrossoverRow {
     exhaustive: bool,
 }
 
-/// Compares the gated metrics of `snapshot` against `baseline_path`;
-/// returns the failure messages (empty = gate passes). Improvements
-/// never fail the gate.
-fn gate_against_baseline(snapshot: &Json, baseline_path: &str, max_regress: f64) -> Vec<String> {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = Json::parse(&text).expect("baseline must be valid JSON");
-    let mut failures = Vec::new();
-    for key in GATED_KEYS {
-        let Some(base) = baseline.get(key).and_then(Json::as_f64) else {
-            println!("[gate] {key:<16} absent from baseline — skipped");
-            continue;
-        };
-        let new = snapshot
-            .get(key)
-            .and_then(Json::as_f64)
-            .expect("snapshot carries every gated key");
-        let limit = base * (1.0 + max_regress);
-        let verdict = if new <= limit { "ok" } else { "REGRESSED" };
-        println!(
-            "[gate] {key:<16} baseline {base:>9.4} ms | now {new:>9.4} ms | limit {limit:>9.4} ms | {verdict}"
-        );
-        if new > limit {
-            failures.push(format!(
-                "{key}: {new:.4} ms exceeds {limit:.4} ms (baseline {base:.4} ms +{:.0}%)",
-                max_regress * 100.0
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
     let mut out_path: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut max_regress = 0.5f64;
+    let mut gate = GateArgs::new(0.5);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        if gate.accept(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--baseline" => baseline = args.next(),
-            "--max-regress" => {
-                max_regress = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(max_regress)
-            }
             "--scale" => {
                 args.next(); // consumed by Scale::from_args_or_env
             }
@@ -395,21 +358,6 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write scaling snapshot");
     println!("\nwrote {out_path}:\n{json}");
 
-    if let Some(baseline_path) = baseline {
-        let snapshot = Json::parse(&json).expect("own snapshot is valid JSON");
-        let failures = gate_against_baseline(&snapshot, &baseline_path, max_regress);
-        if failures.is_empty() {
-            println!(
-                "[gate] pass: no gated metric regressed more than {:.0}% vs {baseline_path}",
-                max_regress * 100.0
-            );
-        } else {
-            eprintln!("[gate] FAIL vs {baseline_path}:");
-            for f in &failures {
-                eprintln!("[gate]   {f}");
-            }
-            std::process::exit(1);
-        }
-    }
+    gate.enforce(&json, &GATED_KEYS, 16);
     check.finish();
 }

@@ -73,7 +73,7 @@ impl KeepAliveClient {
         }
     }
 
-    /// One POST on the persistent connection (the fused-batch phase);
+    /// One POST on the persistent connection (the batch phase);
     /// reconnects transparently like [`KeepAliveClient::get`].
     fn post(&mut self, target: &str, body: &str) -> (u16, String) {
         let request = format!(
@@ -142,9 +142,8 @@ fn cold_target(i: usize) -> String {
 /// The pre-warmed cached target.
 const CACHED_TARGET: &str = "/api/v1/explain?q=Toy+Story&coverage=0.2&geo=0";
 
-/// The 8-query "precompute set" for the fused-batch phase: the seven
-/// planted titles plus one actor filmography, all under identical
-/// settings so the server fuses them into ONE combined cube build.
+/// The 8-query "precompute set" for the batch phase: the seven planted
+/// titles plus one actor filmography, all under identical settings.
 const BATCH_TITLES: [&str; 7] = [
     "Toy Story",
     "Jaws",
@@ -339,10 +338,10 @@ fn main() {
          (pool shares {threads} worker(s) across requests)"
     );
 
-    // Phase 3 — fused batch vs sequential explains over the same 8-query
-    // precompute set. Both runs start from a cleared cache (8 fresh
-    // solves each); the batch pays ONE combined cube build where the
-    // sequential loop pays 8 per-query builds.
+    // Phase 3 — one batch request vs 8 sequential explains over the same
+    // 8-query precompute set. Both runs start from a cleared cache (8
+    // fresh solves each); the batch fans its members out over the worker
+    // pool where the sequential loop solves them one after another.
     engine.clear_cache();
     let mut batch_client = KeepAliveClient::connect(port);
     let seq_start = Instant::now();
@@ -373,8 +372,8 @@ fn main() {
     let sequential8_ms = sequential8.as_secs_f64() * 1e3;
     let batch_speedup = sequential8_ms / batch8_ms.max(1e-9);
     println!(
-        "fused batch (8 queries): batch={batch8_ms:.1} ms vs sequential={sequential8_ms:.1} ms = {batch_speedup:.2}x \
-         (one combined cube build vs 8; see PERF.md for the multi-core ratio)"
+        "batch (8 queries): batch={batch8_ms:.1} ms vs sequential={sequential8_ms:.1} ms = {batch_speedup:.2}x \
+         (8 standalone solves fanned out over {threads} worker(s) vs one at a time)"
     );
 
     let cached_tail = tail(&cached);

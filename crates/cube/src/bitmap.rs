@@ -280,24 +280,6 @@ impl Bitmap {
         }
     }
 
-    /// Wraps already-filled owned dense blocks (`ceil(len/64)` of them)
-    /// as a bitmap over `0..len` — the batch-explain derive materializes
-    /// extracted covers directly into block buffers.
-    pub(crate) fn from_owned_blocks(len: usize, blocks: Vec<u64>) -> Self {
-        debug_assert_eq!(blocks.len(), len.div_ceil(64));
-        debug_assert!(
-            len.is_multiple_of(64)
-                || blocks
-                    .last()
-                    .is_none_or(|&b| b & !(u64::MAX >> (64 - len % 64)) == 0),
-            "bits outside the universe"
-        );
-        Bitmap {
-            len,
-            blocks: Blocks::Owned(blocks),
-        }
-    }
-
     /// Wraps a window of a shared block pool as a read-optimized bitmap
     /// over `0..len` (blocks `start..start + ceil(len/64)` of `pool`).
     /// Mutation copies the window out first (copy-on-write).
@@ -778,77 +760,6 @@ impl Bitmap {
         }
     }
 
-    /// Popcount of the bit range `[start, start + len)` — the fused
-    /// batch-explain derive computes per-segment supports through this
-    /// without materializing sub-covers.
-    ///
-    /// # Panics
-    /// Panics if the range extends past the universe.
-    pub fn count_range(&self, start: usize, len: usize) -> usize {
-        assert!(start + len <= self.len, "range outside universe");
-        if len == 0 {
-            return 0;
-        }
-        match self.view() {
-            View::Dense(d) => kernels::count_range(d, start, len),
-            View::Sparse(w, b) => {
-                let end = start + len;
-                let first = w.partition_point(|&wi| ((wi as usize) + 1) * 64 <= start);
-                let mut total = 0usize;
-                for (&wi, &wb) in w[first..].iter().zip(&b[first..]) {
-                    let base = wi as usize * 64;
-                    if base >= end {
-                        break;
-                    }
-                    let lo = start.max(base) - base;
-                    let hi = end.min(base + 64) - base;
-                    let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
-                    total += (wb & mask).count_ones() as usize;
-                }
-                total
-            }
-        }
-    }
-
-    /// ORs the bit range `[src_start, src_start + len)` of `self` into
-    /// `dst` starting at bit `dst_start` (any relative alignment; `dst`
-    /// bits outside the target range are untouched) — the window
-    /// extraction of the fused batch-explain derive.
-    ///
-    /// # Panics
-    /// Panics if the source range extends past the universe.
-    pub fn or_window_into(&self, src_start: usize, len: usize, dst: &mut [u64], dst_start: usize) {
-        assert!(src_start + len <= self.len, "range outside universe");
-        if len == 0 {
-            return;
-        }
-        match self.view() {
-            View::Dense(d) => kernels::or_bit_window(d, src_start, len, dst, dst_start),
-            View::Sparse(w, b) => {
-                let end = src_start + len;
-                let first = w.partition_point(|&wi| ((wi as usize) + 1) * 64 <= src_start);
-                for (&wi, &wb) in w[first..].iter().zip(&b[first..]) {
-                    let base = wi as usize * 64;
-                    if base >= end {
-                        break;
-                    }
-                    let lo = src_start.max(base);
-                    let hi = end.min(base + 64);
-                    let seg = (wb >> (lo - base)) & kernels::low_mask(hi - lo);
-                    if seg != 0 {
-                        kernels::or_bit_window(
-                            &[seg],
-                            0,
-                            hi - lo,
-                            dst,
-                            dst_start + (lo - src_start),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     /// Iterates the set positions in ascending order.
     pub fn iter(&self) -> BitmapIter<'_> {
         match self.view() {
@@ -1245,38 +1156,6 @@ mod tests {
         assert_eq!(dense.cover_bytes(), 100 * 8);
         assert!(sparse.cover_bytes() <= 12 * 12);
         assert!(sparse.cover_bytes() < dense.cover_bytes());
-    }
-
-    #[test]
-    fn range_helpers_agree_across_representations() {
-        let (dense, sparse) = both_reprs(17, 1200, 60);
-        for &(start, len) in &[
-            (0usize, 1200usize),
-            (0, 64),
-            (5, 200),
-            (64, 128),
-            (3, 61),
-            (100, 0),
-            (1199, 1),
-            (70, 1000),
-        ] {
-            let expect = dense
-                .iter()
-                .filter(|&p| p >= start && p < start + len)
-                .count();
-            assert_eq!(dense.count_range(start, len), expect, "{start}+{len}");
-            assert_eq!(sparse.count_range(start, len), expect, "{start}+{len}");
-            for &dst_start in &[0usize, 3, 64, 129] {
-                let wlen = (dst_start + len).div_ceil(64).max(1);
-                let mut a = vec![0u64; wlen];
-                let mut b = vec![0u64; wlen];
-                dense.or_window_into(start, len, &mut a, dst_start);
-                sparse.or_window_into(start, len, &mut b, dst_start);
-                assert_eq!(a, b, "{start}+{len}@{dst_start}");
-                let total: usize = a.iter().map(|w| w.count_ones() as usize).sum();
-                assert_eq!(total, expect, "{start}+{len}@{dst_start}");
-            }
-        }
     }
 
     #[test]

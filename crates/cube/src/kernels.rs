@@ -316,89 +316,6 @@ pub fn active() -> &'static Kernels {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Bit-granular helpers over the dispatched kernels: masked range popcount
-// and bit-aligned window extraction (the fused batch-explain derive).
-// ---------------------------------------------------------------------------
-
-/// Popcount of the bit range `[start, start + len)` of `blocks`.
-///
-/// Whole words in the middle go through the dispatched [`Kernels::count`];
-/// the ragged edges are masked scalar words.
-pub fn count_range(blocks: &[u64], start: usize, len: usize) -> usize {
-    if len == 0 {
-        return 0;
-    }
-    let end = start + len;
-    let (first_word, first_bit) = (start / 64, start % 64);
-    let (last_word, last_bit) = (end / 64, end % 64);
-    if first_word == last_word {
-        let mask = (u64::MAX << first_bit) & (u64::MAX >> (64 - last_bit));
-        return (blocks[first_word] & mask).count_ones() as usize;
-    }
-    let mut total = (blocks[first_word] & (u64::MAX << first_bit)).count_ones() as usize;
-    total += (active().count)(&blocks[first_word + 1..last_word]);
-    if last_bit != 0 {
-        total += (blocks[last_word] & (u64::MAX >> (64 - last_bit))).count_ones() as usize;
-    }
-    total
-}
-
-/// ORs the bit range `[src_start, src_start + len)` of `src` into `dst`
-/// starting at bit `dst_start` — the window extraction of the fused
-/// batch-explain derive (`dst` positions outside the target range are
-/// untouched).
-pub fn or_bit_window(src: &[u64], src_start: usize, len: usize, dst: &mut [u64], dst_start: usize) {
-    if len == 0 {
-        return;
-    }
-    let shift = (src_start % 64) as i32 - (dst_start % 64) as i32;
-    if shift == 0 {
-        // Word-aligned relative offset: masked first/last words, kernel
-        // OR for the aligned middle.
-        let (sw, dw) = (src_start / 64, dst_start / 64);
-        let first_bit = dst_start % 64;
-        let end = dst_start % 64 + len;
-        let n_words = end.div_ceil(64);
-        if n_words == 1 {
-            let mask = (u64::MAX << first_bit) & (u64::MAX >> ((64 - end % 64) % 64));
-            dst[dw] |= src[sw] & mask;
-            return;
-        }
-        dst[dw] |= src[sw] & (u64::MAX << first_bit);
-        let last = n_words - 1;
-        let last_bits = end - last * 64;
-        if last > 1 {
-            (active().union_with)(&mut dst[dw + 1..dw + last], &src[sw + 1..sw + last]);
-        }
-        let mask = u64::MAX >> ((64 - last_bits % 64) % 64);
-        dst[dw + last] |= src[sw + last] & mask;
-        return;
-    }
-    // Unaligned: gather each destination word from (up to) two source
-    // words. Simple per-bit-run loop over destination words.
-    let mut copied = 0usize;
-    while copied < len {
-        let s = src_start + copied;
-        let d = dst_start + copied;
-        // Bits available in the current source and destination words.
-        let take = (64 - s % 64).min(64 - d % 64).min(len - copied);
-        let bits = (src[s / 64] >> (s % 64)) & low_mask(take);
-        dst[d / 64] |= bits << (d % 64);
-        copied += take;
-    }
-}
-
-/// A mask of the low `n` bits (`n <= 64`).
-#[inline(always)]
-pub fn low_mask(n: usize) -> u64 {
-    if n >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << n) - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,78 +411,6 @@ mod tests {
                 assert!(!(k.is_subset)(&a, &b), "{}", k.name);
             }
         }
-    }
-
-    #[test]
-    fn count_range_matches_bitwise_scan() {
-        let blocks = words(7, 9);
-        let total_bits = blocks.len() * 64;
-        let reference = |start: usize, len: usize| -> usize {
-            (start..start + len)
-                .filter(|&i| blocks[i / 64] & (1 << (i % 64)) != 0)
-                .count()
-        };
-        for &(start, len) in &[
-            (0usize, 0usize),
-            (0, 1),
-            (0, 64),
-            (0, 65),
-            (3, 5),
-            (3, 61),
-            (3, 64),
-            (63, 2),
-            (64, 64),
-            (70, 300),
-            (1, total_bits - 2),
-            (0, total_bits),
-        ] {
-            assert_eq!(
-                count_range(&blocks, start, len),
-                reference(start, len),
-                "start={start} len={len}"
-            );
-        }
-    }
-
-    #[test]
-    fn or_bit_window_extracts_any_alignment() {
-        let src = words(11, 8);
-        let total = src.len() * 64;
-        let get = |bits: &[u64], i: usize| bits[i / 64] & (1 << (i % 64)) != 0;
-        for &(src_start, len, dst_start) in &[
-            (0usize, 64usize, 0usize),
-            (0, 100, 0),
-            (5, 100, 5), // aligned relative shift
-            (5, 100, 0), // shift right
-            (0, 100, 5), // shift left
-            (67, 250, 3),
-            (63, 2, 0),
-            (1, 511, 1),
-            (128, 64, 192),
-            (13, 1, 40),
-        ] {
-            assert!(src_start + len <= total);
-            let mut dst = vec![0u64; (dst_start + len).div_ceil(64)];
-            or_bit_window(&src, src_start, len, &mut dst, dst_start);
-            for i in 0..len {
-                assert_eq!(
-                    get(&dst, dst_start + i),
-                    get(&src, src_start + i),
-                    "bit {i} of window src_start={src_start} len={len} dst_start={dst_start}"
-                );
-            }
-            // No stray bits outside the window.
-            let set: usize = dst.iter().map(|w| w.count_ones() as usize).sum();
-            assert_eq!(set, count_range(&src, src_start, len));
-        }
-    }
-
-    #[test]
-    fn or_bit_window_preserves_existing_dst_bits() {
-        let src = words(13, 4);
-        let mut dst = vec![u64::MAX; 4];
-        or_bit_window(&src, 10, 150, &mut dst, 30);
-        assert!(dst.iter().all(|&w| w == u64::MAX), "OR never clears");
     }
 
     #[test]

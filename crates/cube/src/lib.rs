@@ -20,7 +20,6 @@
 pub mod bitmap;
 pub mod builder;
 pub mod delta;
-pub mod derive;
 pub mod drill;
 pub mod group;
 pub mod kernels;

@@ -27,7 +27,7 @@
 //! per-request [`ApproxMode`] directive (`approx=off|force`) overrides
 //! the policy. See `docs/APPROX.md`.
 //!
-//! [`MapRatEngine::explain_traced`] reports which tier answered
+//! [`MapRatEngine::explain_opts`] reports which tier answered
 //! ([`ServedFrom`]), which the HTTP layer surfaces as the
 //! `X-MapRat-Cache` response header. The dataset itself sits behind a
 //! lock-held `Arc` that [`MapRatEngine::swap_dataset`] replaces
@@ -52,7 +52,6 @@ use maprat_approx::{ApproxInfo, RefineLedger, StratifiedSampler, StratumCensus};
 use maprat_cache::{CacheStats, FlightError, FlightGroup, FlightOutcome, ShardedCache};
 use maprat_core::query::ItemQuery;
 use maprat_core::{parallel, Budget, Explanation, MineError, Miner, SearchSettings};
-use maprat_cube::derive::{derive_cube, CombinedUniverse};
 use maprat_cube::{CubeOptions, RatingCube};
 use maprat_data::{Dataset, ItemId};
 use std::collections::hash_map::DefaultHasher;
@@ -181,7 +180,7 @@ pub struct ExplorationResult {
 }
 
 /// Which serving mechanism answered an explain (see
-/// [`MapRatEngine::explain_traced`]). The HTTP layer reports this as the
+/// [`MapRatEngine::explain_opts`]). The HTTP layer reports this as the
 /// `X-MapRat-Cache` response header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedFrom {
@@ -200,13 +199,10 @@ pub enum ServedFrom {
     SnapshotCache,
     /// Nothing was cached: cube build plus solve ran.
     Cold,
-    /// A concurrent identical request was already solving; this caller
-    /// waited and shares that leader's result.
+    /// A concurrent identical request was already solving (or an earlier
+    /// slot of the same batch carries the identical request); this caller
+    /// shares that result.
     Coalesced,
-    /// The request was solved inside a fused batch
-    /// ([`MapRatEngine::explain_batch`]): one combined cube build served
-    /// its whole batch group, and this request's cube was derived from it.
-    BatchFused,
 }
 
 impl ServedFrom {
@@ -219,7 +215,6 @@ impl ServedFrom {
             ServedFrom::SnapshotCache => "snapshot",
             ServedFrom::Cold => "miss",
             ServedFrom::Coalesced => "coalesced",
-            ServedFrom::BatchFused => "batch",
         }
     }
 }
@@ -622,43 +617,24 @@ impl MapRatEngine {
     /// Explains a typed request, serving from the shared tiers when
     /// possible.
     pub fn explain(&self, request: &ExplainRequest) -> Arc<Result<ExplorationResult, MineError>> {
-        self.explain_traced(request).0
-    }
-
-    /// Like [`MapRatEngine::explain`], but also reports which serving
-    /// mechanism answered (the `X-MapRat-Cache` header value).
-    pub fn explain_traced(
-        &self,
-        request: &ExplainRequest,
-    ) -> (Arc<Result<ExplorationResult, MineError>>, ServedFrom) {
-        self.explain_deadline(request, &Budget::unlimited())
-    }
-
-    /// Like [`MapRatEngine::explain_traced`] under a request [`Budget`]
-    /// (the `X-MapRat-Deadline-Ms` header): cache tiers answer as usual —
-    /// a deadline never changes *which* answer is produced, only whether
-    /// one is — but a cold solve checks the deadline every climb
-    /// iteration and aborts with [`MineError::DeadlineExceeded`] once it
-    /// expires. Expired and otherwise non-deterministic outcomes are
-    /// **never cached**: the budget is not part of the cache key, and a
-    /// retry with more time may well succeed.
-    pub fn explain_deadline(
-        &self,
-        request: &ExplainRequest,
-        budget: &Budget,
-    ) -> (Arc<Result<ExplorationResult, MineError>>, ServedFrom) {
-        self.explain_opts(request, budget, ApproxMode::default())
+        self.explain_opts(request, &Budget::unlimited(), ApproxMode::default())
+            .0
     }
 
     /// The fully-general serving entry point: a request [`Budget`] plus a
-    /// per-call [`ApproxMode`] directive (the HTTP `approx` parameter).
-    /// Neither is part of the cache key — they steer *how* the answer is
-    /// produced, not *which* logical answer it is; that is what lets the
-    /// background refinement upgrade an approximate entry in place.
+    /// per-call [`ApproxMode`] directive (the HTTP `approx` parameter),
+    /// reporting which serving mechanism answered (the `X-MapRat-Cache`
+    /// header value). Neither budget nor mode is part of the cache key —
+    /// they steer *how* the answer is produced, not *which* logical
+    /// answer it is; that is what lets the background refinement upgrade
+    /// an approximate entry in place.
     ///
-    /// Serving an approximate answer (cold sampled solve or `hit-approx`)
-    /// bumps the `approx_served` counter and, when the policy's refine
-    /// flag is set, schedules the exact re-solve on an idle pool worker.
+    /// Cache tiers answer regardless of the budget — a deadline never
+    /// changes *which* answer is produced, only whether one is — but a
+    /// cold solve checks the deadline every climb iteration and aborts
+    /// with [`MineError::DeadlineExceeded`] once it expires. Expired and
+    /// otherwise non-deterministic outcomes are **never cached**: a retry
+    /// with more time may well succeed.
     pub fn explain_opts(
         &self,
         request: &ExplainRequest,
@@ -666,6 +642,20 @@ impl MapRatEngine {
         mode: ApproxMode,
     ) -> (Arc<Result<ExplorationResult, MineError>>, ServedFrom) {
         let _guard = ForegroundGuard::enter(&self.inner.foreground);
+        self.serve(request, budget, mode)
+    }
+
+    /// The one serving pipeline behind every foreground explain: tier
+    /// probes, flight, solve. Serving an approximate answer (cold sampled
+    /// solve or `hit-approx`) bumps the `approx_served` counter and, when
+    /// the policy's refine flag is set, schedules the exact re-solve on an
+    /// idle pool worker.
+    fn serve(
+        &self,
+        request: &ExplainRequest,
+        budget: &Budget,
+        mode: ApproxMode,
+    ) -> (CachedResult, ServedFrom) {
         let (result, served) = self.lookup_or_solve(request, budget, mode);
         if matches!(&*result, Ok(r) if r.approx.is_some()) {
             self.inner.approx_served.fetch_add(1, Ordering::Relaxed);
@@ -696,303 +686,49 @@ impl MapRatEngine {
         true
     }
 
-    /// Explains a batch of related requests, fusing their cube builds:
-    /// requests that miss both cache tiers, share cube-build options and
-    /// are time-unrestricted are grouped, **one** combined cube is built
-    /// over the deduped union of their items, and each request's cube is
-    /// derived from it ([`maprat_cube::derive`]) before its own solve —
-    /// so an actor's filmography or the precompute set pays the
-    /// dataset-scan and cover-materialization cost once instead of once
-    /// per query.
+    /// Explains a batch of requests: duplicates are dropped, then the
+    /// distinct requests fan out over the worker pool
+    /// ([`parallel::parallel_map`]), each through the same pipeline as
+    /// [`MapRatEngine::explain_opts`]. Members therefore probe both cache
+    /// tiers, coalesce with concurrent live traffic, and populate the
+    /// tiers exactly as single explains do.
     ///
-    /// Answer-identical to issuing each request through
-    /// [`MapRatEngine::explain_opts`]: derivation is pinned bit-identical
-    /// to a standalone build, solves run with the request's own settings,
-    /// and both cache tiers are populated exactly as a standalone miss
-    /// would (so later single-request traffic hits as usual). Requests
-    /// the fused path cannot serve exactly — time-restricted queries,
-    /// universes the approximation policy may sample, requests whose
-    /// cube snapshot is already resident (re-solving from it is cheaper
-    /// than any build) — fall back to the standalone path per request.
-    /// Duplicate requests within the batch are solved once and share the
-    /// result ([`ServedFrom::Coalesced`]).
-    ///
-    /// The returned vector is index-aligned with `requests`; fused slots
-    /// are labeled [`ServedFrom::BatchFused`] (`X-MapRat-Cache: batch`).
+    /// The returned vector is index-aligned with `requests`. Each slot
+    /// carries its single-explain label; a repeat of an earlier slot's
+    /// request shares that slot's result as [`ServedFrom::Coalesced`].
     pub fn explain_batch(
         &self,
         requests: &[ExplainRequest],
         budget: &Budget,
     ) -> Vec<(Arc<Result<ExplorationResult, MineError>>, ServedFrom)> {
         let _guard = ForegroundGuard::enter(&self.inner.foreground);
-        self.batch_inner(requests, budget, ApproxMode::default())
-    }
-
-    /// Background batch warm used by the precompute scheduler: fuses the
-    /// cube builds of every request not already resident in the result
-    /// tier. Like [`MapRatEngine::warm`], it does not count as
-    /// foreground traffic. Returns how many requests were warmed.
-    pub fn warm_batch(&self, requests: &[ExplainRequest]) -> usize {
-        let missing: Vec<ExplainRequest> = requests
-            .iter()
-            .filter(|r| !self.inner.results.contains(r))
-            .cloned()
-            .collect();
-        if missing.is_empty() {
-            return 0;
-        }
-        let _ = self.batch_inner(&missing, &Budget::unlimited(), ApproxMode::default());
-        missing.len()
-    }
-
-    /// Batch serving body: result-tier probes, in-batch dedup, fused
-    /// groups, standalone fallback.
-    fn batch_inner(
-        &self,
-        requests: &[ExplainRequest],
-        budget: &Budget,
-        mode: ApproxMode,
-    ) -> Vec<(CachedResult, ServedFrom)> {
-        let mut slots: Vec<Option<(CachedResult, ServedFrom)>> =
-            requests.iter().map(|_| None).collect();
-        // In-batch coalescing: duplicates share the first occurrence's
-        // solve, mirroring what the flight group does across threads.
         let mut first_of: HashMap<&ExplainRequest, usize> = HashMap::new();
-        let mut dupes: Vec<(usize, usize)> = Vec::new();
-        for (i, request) in requests.iter().enumerate() {
-            match first_of.entry(request) {
-                std::collections::hash_map::Entry::Occupied(e) => dupes.push((i, *e.get())),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(i);
-                }
-            }
-        }
-
-        // Result-tier probes first: a batch of warm requests never mines.
-        for (i, request) in requests.iter().enumerate() {
-            if dupes.iter().any(|&(d, _)| d == i) {
-                continue;
-            }
-            if let Some(hit) = self.inner.results.get(request) {
-                if let Some(served) = self.classify_hit_mode(&hit, mode) {
-                    slots[i] = Some((hit, served));
-                }
-            }
-        }
-
-        let dataset = self.dataset();
-        // If the policy may answer any of these universes with a sample,
-        // the fused exact build would change semantics — route through
-        // the standalone path, which owns the approximate pipeline.
-        let approx_may_engage = mode != ApproxMode::Off
-            && self
-                .inner
-                .approx
-                .should_sample(mode, dataset.ratings().len());
-
-        // Partition the misses: fused groups keyed by cube-build options
-        // (first-seen order, so processing is deterministic), the rest
-        // standalone.
-        let mut fused: Vec<((usize, bool, usize), Vec<usize>)> = Vec::new();
-        let mut standalone: Vec<usize> = Vec::new();
-        for (i, request) in requests.iter().enumerate() {
-            if slots[i].is_some() || dupes.iter().any(|&(d, _)| d == i) {
-                continue;
-            }
-            let fusable = !approx_may_engage
-                && request.query.time.is_unrestricted()
-                && request.settings.validate().is_ok()
-                && self
-                    .inner
-                    .snapshots
-                    .peek(&SnapshotKey::of(request))
-                    .is_none();
-            if !fusable {
-                standalone.push(i);
-                continue;
-            }
-            let options = (
-                request.settings.min_support,
-                request.settings.require_geo,
-                request.settings.max_arity,
-            );
-            match fused.iter_mut().find(|(o, _)| *o == options) {
-                Some((_, members)) => members.push(i),
-                None => fused.push((options, vec![i])),
-            }
-        }
-
-        for (_, group) in fused {
-            // A group of one shares nothing; the standalone path also
-            // owns coalescing with concurrent foreground flights.
-            if group.len() < 2 {
-                standalone.extend(group);
-                continue;
-            }
-            let leftover = self.solve_fused_group(requests, &group, budget, &dataset, &mut slots);
-            standalone.extend(leftover);
-        }
-
-        for i in standalone {
-            let (result, served) = self.lookup_or_solve(&requests[i], budget, mode);
-            // Approx bookkeeping parity with `explain_opts`.
-            if matches!(&*result, Ok(r) if r.approx.is_some()) {
-                self.inner.approx_served.fetch_add(1, Ordering::Relaxed);
-                if self.inner.approx.refine {
-                    self.schedule_refine(&requests[i]);
-                }
-            }
-            slots[i] = Some((result, served));
-        }
-
-        for (i, first) in dupes {
-            let (result, _) = slots[first].clone().expect("first occurrence was served");
-            slots[i] = Some((result, ServedFrom::Coalesced));
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every batch slot is served"))
-            .collect()
-    }
-
-    /// Solves one fused batch group: one combined cube build over the
-    /// union of the group's items, then a derive + solve per member,
-    /// fanned out over the worker pool ([`parallel::parallel_map`]).
-    /// Returns the members it could not serve (routed standalone by the
-    /// caller). Per-member snapshot/result caching matches
-    /// [`MapRatEngine::solve_and_cache`]'s rules exactly.
-    fn solve_fused_group(
-        &self,
-        requests: &[ExplainRequest],
-        group: &[usize],
-        budget: &Budget,
-        dataset: &Arc<Dataset>,
-        slots: &mut [Option<(CachedResult, ServedFrom)>],
-    ) -> Vec<usize> {
-        let mut leftover: Vec<usize> = Vec::new();
-        let mut members: Vec<(usize, Vec<ItemId>)> = Vec::new();
-        for &i in group {
-            let items = requests[i].query.items(dataset);
-            if items.is_empty() {
-                // The standalone path produces (and negative-caches) the
-                // proper NoMatchingItems error for this query.
-                leftover.push(i);
-                continue;
-            }
-            members.push((i, items));
-        }
-        if members.len() < 2 {
-            leftover.extend(members.into_iter().map(|(i, _)| i));
-            return leftover;
-        }
-        let settings = &requests[members[0].0].settings;
-        let options = CubeOptions {
-            min_support: settings.min_support,
-            require_geo: settings.require_geo,
-            max_arity: settings.max_arity,
-        };
-        let combined_universe = CombinedUniverse::over(
-            dataset,
-            members.iter().flat_map(|(_, it)| it.iter().copied()),
-        );
-        // One shared build — the whole point of the fused path. A panic
-        // here (chaos injection, builder bug) degrades the entire group
-        // to the standalone path, which contains panics per request.
-        let combined = match catch_unwind(AssertUnwindSafe(|| {
-            RatingCube::build(
-                dataset,
-                combined_universe.rating_indexes().to_vec(),
-                options,
-            )
-        })) {
-            Ok(cube) => cube,
-            Err(_) => {
-                leftover.extend(members.into_iter().map(|(i, _)| i));
-                return leftover;
-            }
-        };
-        // Members derive and solve independently from the shared build, so
-        // fan them out over the worker pool (the same idiom as the parallel
-        // time-slider sweep): each slot's value depends only on its member,
-        // never on scheduling, so the batch stays bit-identical for any
-        // `MAPRAT_THREADS`. Cache writes and counters happen afterwards in
-        // member order so eviction order matches the sequential story.
-        let solved = parallel::parallel_map(members.len(), parallel::num_threads(), |m| {
-            let (i, items) = &members[m];
-            let request = &requests[*i];
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                maprat_faults::maybe_panic("solver.panic");
-                let (rating_idx, segments) = combined_universe
-                    .query_segments(items)
-                    .expect("batch member items are in the union");
-                if rating_idx.is_empty() {
-                    return (None, Err(MineError::NoRatings));
-                }
-                let cube = derive_cube(dataset, &combined, &segments, rating_idx);
-                if cube.is_empty() {
-                    return (None, Err(MineError::NoCandidates));
-                }
-                let miner = Miner::new(dataset);
-                let result = miner
-                    .explain_cube_budget(
-                        &request.query,
-                        items.clone(),
-                        &cube,
-                        &request.settings,
-                        budget,
-                    )
-                    .map(|explanation| ExplorationResult {
-                        explanation,
-                        cube: cube.clone(),
-                        items: items.clone(),
-                        dataset: Arc::clone(dataset),
-                        approx: None,
-                        body: OnceLock::new(),
-                    });
-                (Some(cube), result)
-            }));
-            match outcome {
-                Ok(solved) => solved,
-                Err(payload) => {
-                    let what = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    (
-                        None,
-                        Err(MineError::Internal(format!("batch solve panicked: {what}"))),
-                    )
-                }
-            }
+        let mut unique: Vec<&ExplainRequest> = Vec::new();
+        let slot_of: Vec<usize> = requests
+            .iter()
+            .map(|request| {
+                *first_of.entry(request).or_insert_with(|| {
+                    unique.push(request);
+                    unique.len() - 1
+                })
+            })
+            .collect();
+        let served = parallel::parallel_map(unique.len(), parallel::num_threads(), |u| {
+            self.serve(unique[u], budget, ApproxMode::default())
         });
-        for ((i, items), (derived, result)) in members.into_iter().zip(solved) {
-            let request = &requests[i];
-            if let Some(cube) = derived {
-                // The derived cube is bit-identical to a standalone build,
-                // so it is a valid (budget-independent) snapshot — kept
-                // even when the solve itself errored (e.g. on deadline).
-                self.inner.snapshots.put(
-                    SnapshotKey::of(request),
-                    CubeSnapshot {
-                        items,
-                        cube,
-                        dataset: Arc::clone(dataset),
-                    },
-                );
-            }
-            self.inner.solves.fetch_add(1, Ordering::Relaxed);
-            let cached = match &result {
-                Err(MineError::DeadlineExceeded) => {
-                    self.inner.deadline_expired.fetch_add(1, Ordering::Relaxed);
-                    Arc::new(result)
-                }
-                Err(MineError::Internal(_)) => Arc::new(result),
-                _ => self.inner.results.put(request.clone(), result),
-            };
-            slots[i] = Some((cached, ServedFrom::BatchFused));
-        }
-        leftover
+        let mut answered = vec![false; unique.len()];
+        slot_of
+            .into_iter()
+            .map(|u| {
+                let (result, label) = &served[u];
+                let label = if std::mem::replace(&mut answered[u], true) {
+                    ServedFrom::Coalesced
+                } else {
+                    *label
+                };
+                (Arc::clone(result), label)
+            })
+            .collect()
     }
 
     /// Labels a result-tier hit: `hit` normally, `hit-preingest` when
@@ -1521,6 +1257,11 @@ mod tests {
             .with_require_geo(false)
     }
 
+    /// An unbudgeted default-mode explain that also reports the tier.
+    fn traced(engine: &MapRatEngine, request: &ExplainRequest) -> (CachedResult, ServedFrom) {
+        engine.explain_opts(request, &Budget::unlimited(), ApproxMode::default())
+    }
+
     #[test]
     fn repeated_queries_hit_cache() {
         let engine = engine();
@@ -1611,18 +1352,20 @@ mod tests {
     }
 
     #[test]
-    fn explain_traced_reports_tiers() {
+    fn explain_opts_reports_tiers() {
         let engine = engine();
         let q = ItemQuery::title("Toy Story");
-        let (r, served) = engine.explain_traced(&ExplainRequest::new(q.clone(), settings()));
+        let (r, served) = traced(&engine, &ExplainRequest::new(q.clone(), settings()));
         assert!(r.is_ok());
         assert_eq!(served, ServedFrom::Cold, "first request builds the cube");
-        let (_, served) = engine.explain_traced(&ExplainRequest::new(q.clone(), settings()));
+        let (_, served) = traced(&engine, &ExplainRequest::new(q.clone(), settings()));
         assert_eq!(served, ServedFrom::ResultCache, "repeat is a result hit");
         // Same query, different solver budget: the cube-build inputs are
         // unchanged, so only the solve re-runs.
-        let (r, served) =
-            engine.explain_traced(&ExplainRequest::new(q, settings().with_max_groups(2)));
+        let (r, served) = traced(
+            &engine,
+            &ExplainRequest::new(q, settings().with_max_groups(2)),
+        );
         assert!(r.is_ok());
         assert_eq!(served, ServedFrom::SnapshotCache, "snapshot tier hit");
         assert!(engine.snapshot_stats().hits() >= 1);
@@ -1660,7 +1403,7 @@ mod tests {
                         let (engine, request, barrier) = (engine.clone(), &request, &barrier);
                         scope.spawn(move || {
                             barrier.wait();
-                            engine.explain_traced(request)
+                            traced(&engine, request)
                         })
                     })
                     .collect();
@@ -1691,7 +1434,7 @@ mod tests {
         assert!(before.is_ok());
         engine.swap_dataset(Arc::new(generate(&SynthConfig::tiny(222)).unwrap()));
         assert_eq!(engine.cache_len(), 0);
-        let (after, served) = engine.explain_traced(&ExplainRequest::new(q, settings()));
+        let (after, served) = traced(&engine, &ExplainRequest::new(q, settings()));
         assert_eq!(served, ServedFrom::Cold, "both tiers were dropped");
         assert!(
             !Arc::ptr_eq(&before, &after),
@@ -1723,19 +1466,19 @@ mod tests {
             .expect("tiny dataset has a disjoint explainable item");
         let dropped = engine.swap_dataset_scoped(Arc::clone(&dataset), &toy_items);
         assert!(dropped >= 2, "Toy Story result + snapshot dropped");
-        let (_, served) = engine.explain_traced(&ExplainRequest::new(
-            ItemQuery::title(&other_title),
-            settings(),
-        ));
+        let (_, served) = traced(
+            &engine,
+            &ExplainRequest::new(ItemQuery::title(&other_title), settings()),
+        );
         assert_eq!(
             served,
             ServedFrom::ResultCache,
             "untouched partition survives the scoped swap"
         );
-        let (_, served) = engine.explain_traced(&ExplainRequest::new(
-            ItemQuery::title("Toy Story"),
-            settings(),
-        ));
+        let (_, served) = traced(
+            &engine,
+            &ExplainRequest::new(ItemQuery::title("Toy Story"), settings()),
+        );
         assert_eq!(served, ServedFrom::Cold, "touched partition recomputes");
     }
 
@@ -1753,7 +1496,7 @@ mod tests {
             .with_appended(maprat_data::AppendBatch::new())
             .unwrap();
         engine.swap_dataset_scoped(Arc::new(appended.dataset), &[]);
-        let (r, served) = engine.explain_traced(&ExplainRequest::new(q, s));
+        let (r, served) = traced(&engine, &ExplainRequest::new(q, s));
         assert!(r.is_ok());
         assert_eq!(served, ServedFrom::PreIngestCache);
         assert_eq!(served.as_str(), "hit-preingest");
@@ -1802,7 +1545,7 @@ mod tests {
         assert_eq!(engine.foreground_inflight(), 0);
         assert!(engine.warm(&request), "cold warm does work");
         assert!(!engine.warm(&request), "second warm is a no-op");
-        let (_, served) = engine.explain_traced(&request);
+        let (_, served) = traced(&engine, &request);
         assert_eq!(served, ServedFrom::ResultCache, "foreground rides the warm");
         assert_eq!(engine.foreground_inflight(), 0, "warm is not foreground");
     }
@@ -1812,7 +1555,7 @@ mod tests {
         let engine = engine();
         let request = ExplainRequest::new(ItemQuery::title("Toy Story"), settings());
         let expired = Budget::with_deadline(Duration::ZERO);
-        let (r, _) = engine.explain_deadline(&request, &expired);
+        let (r, _) = engine.explain_opts(&request, &expired, ApproxMode::default());
         assert!(matches!(&*r, Err(MineError::DeadlineExceeded)));
         assert_eq!(engine.serving_stats().deadline_expired, 1);
         assert!(
@@ -1822,12 +1565,12 @@ mod tests {
         // A retry with time succeeds. The *result* wasn't cached, but the
         // cube snapshot was (it is deterministic and budget-independent),
         // so the retry pays only the solve.
-        let (r, served) = engine.explain_traced(&request);
+        let (r, served) = traced(&engine, &request);
         assert!(r.is_ok());
         assert_eq!(served, ServedFrom::SnapshotCache);
         // Once cached, even an expired budget serves the hit: a deadline
         // gates solving, never cache lookups.
-        let (r, served) = engine.explain_deadline(&request, &expired);
+        let (r, served) = engine.explain_opts(&request, &expired, ApproxMode::default());
         assert!(r.is_ok());
         assert_eq!(served, ServedFrom::ResultCache);
         assert_eq!(engine.serving_stats().deadline_expired, 1);
@@ -1838,9 +1581,13 @@ mod tests {
         let engine = engine();
         let q = ItemQuery::title("Toy Story");
         let request = ExplainRequest::new(q, settings());
-        let (budgeted, _) = engine.explain_deadline(&request, &Budget::from_deadline_ms(120_000));
+        let (budgeted, _) = engine.explain_opts(
+            &request,
+            &Budget::from_deadline_ms(120_000),
+            ApproxMode::default(),
+        );
         engine.clear_cache();
-        let (plain, _) = engine.explain_traced(&request);
+        let (plain, _) = traced(&engine, &request);
         match (&*budgeted, &*plain) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(
@@ -1962,7 +1709,7 @@ mod tests {
         assert!(!Arc::ptr_eq(&approx, &exact));
         // The exact answer overwrote the entry: subsequent default-mode
         // requests get a plain `hit`.
-        let (r, served) = engine.explain_traced(&request);
+        let (r, served) = traced(&engine, &request);
         assert_eq!(served, ServedFrom::ResultCache);
         assert!(Arc::ptr_eq(&r, &exact));
     }
@@ -1975,7 +1722,7 @@ mod tests {
         let (approx, _) = engine.explain_opts(&request, &Budget::unlimited(), ApproxMode::Force);
         assert!(matches!(&*approx, Ok(r) if r.approx.is_some()));
         assert!(engine.refine_now(&request), "refinement lands");
-        let (r, served) = engine.explain_traced(&request);
+        let (r, served) = traced(&engine, &request);
         assert_eq!(served, ServedFrom::ResultCache, "hit-approx became hit");
         assert!(matches!(&*r, Ok(result) if result.approx.is_none()));
         let stats = engine.serving_stats();
@@ -2009,7 +1756,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        let (r, served) = engine.explain_traced(&request);
+        let (r, served) = traced(&engine, &request);
         assert_eq!(served, ServedFrom::ResultCache);
         assert!(matches!(&*r, Ok(result) if result.approx.is_none()));
     }
@@ -2083,12 +1830,8 @@ mod tests {
         // Reference answers from a fresh engine, one standalone build each.
         let reference = MapRatEngine::new(Arc::clone(&dataset));
         for (request, (result, served)) in requests.iter().zip(&batch) {
-            assert_eq!(
-                *served,
-                ServedFrom::BatchFused,
-                "{}",
-                request.query.describe()
-            );
+            assert_eq!(*served, ServedFrom::Cold, "{}", request.query.describe());
+            assert_eq!(served.as_str(), "miss");
             let standalone = reference.explain(request);
             match (&**result, &*standalone) {
                 (Ok(a), Ok(b)) => {
@@ -2103,20 +1846,20 @@ mod tests {
                         b.explanation.diversity.objective
                     );
                     assert_eq!(a.explanation.num_ratings, b.explanation.num_ratings);
-                    assert_eq!(a.cube.len(), b.cube.len(), "derived cube matches");
+                    assert_eq!(a.cube.len(), b.cube.len(), "cube matches");
                 }
                 (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
                 other => panic!("batch and standalone disagree: {other:?}"),
             }
             // The batch populated the result tier like a standalone miss.
-            let (shared, served) = engine.explain_traced(request);
+            let (shared, served) = traced(&engine, request);
             assert_eq!(served, ServedFrom::ResultCache);
             assert!(Arc::ptr_eq(&shared, result));
         }
         // …and the snapshot tier too: a new budget re-solves, no rebuild.
         let resolve =
             ExplainRequest::new(ItemQuery::title(&titles[0]), settings().with_max_groups(2));
-        let (r, served) = engine.explain_traced(&resolve);
+        let (r, served) = traced(&engine, &resolve);
         assert!(r.is_ok());
         assert_eq!(served, ServedFrom::SnapshotCache);
     }
@@ -2134,58 +1877,64 @@ mod tests {
             .take(2)
             .map(|it| ExplainRequest::new(ItemQuery::title(&it.title), settings()))
             .collect();
+        // Same query as the warm request under a new budget: its cube
+        // snapshot is resident, so only the solve re-runs.
+        let resolve =
+            ExplainRequest::new(ItemQuery::title("Toy Story"), settings().with_max_groups(2));
         let requests = vec![
             warm.clone(),
             fresh[0].clone(),
             fresh[0].clone(),
             fresh[1].clone(),
+            resolve,
         ];
         let solves_before = engine.solve_count();
         let batch = engine.explain_batch(&requests, &Budget::unlimited());
-        assert_eq!(batch[0].1, ServedFrom::ResultCache, "warm slot is a hit");
-        assert_eq!(batch[1].1, ServedFrom::BatchFused);
-        assert_eq!(batch[1].1.as_str(), "batch");
-        assert_eq!(batch[2].1, ServedFrom::Coalesced, "in-batch duplicate");
+        let labels: Vec<&str> = batch.iter().map(|(_, served)| served.as_str()).collect();
+        assert_eq!(labels, ["hit", "miss", "coalesced", "miss", "snapshot"]);
         assert!(
             Arc::ptr_eq(&batch[1].0, &batch[2].0),
             "duplicate shares the solve"
         );
-        assert_eq!(batch[3].1, ServedFrom::BatchFused);
         assert_eq!(
             engine.solve_count() - solves_before,
-            2,
-            "two fused solves: hit and duplicate never reached the miner"
+            3,
+            "two cold solves and one snapshot re-solve: hit and duplicate never reached the miner"
         );
     }
 
     #[test]
-    fn batch_routes_time_restricted_queries_standalone() {
-        use maprat_data::{TimeRange, Timestamp};
-        let engine = engine();
-        let dataset = engine.dataset();
-        let titles: Vec<String> = dataset
-            .items()
-            .iter()
-            .take(3)
-            .map(|it| it.title.clone())
-            .collect();
-        let restricted = ExplainRequest::new(
-            ItemQuery::title(&titles[0]).within(TimeRange::until(Timestamp::from_ymd(2005, 1, 1))),
-            settings(),
-        );
-        let requests = vec![
-            restricted,
-            ExplainRequest::new(ItemQuery::title(&titles[1]), settings()),
-            ExplainRequest::new(ItemQuery::title(&titles[2]), settings()),
-        ];
-        let batch = engine.explain_batch(&requests, &Budget::unlimited());
-        assert_eq!(
-            batch[0].1,
-            ServedFrom::Cold,
-            "time-restricted universes are not fusable"
-        );
-        assert_eq!(batch[1].1, ServedFrom::BatchFused);
-        assert_eq!(batch[2].1, ServedFrom::BatchFused);
+    fn batch_members_coalesce_with_concurrent_single_explains() {
+        // A batch member shares the flight group with live traffic: while
+        // single explains of A race the batch [A, B] on a cold engine, A
+        // is solved once in every interleaving.
+        const SINGLES: usize = 4;
+        for _ in 0..3 {
+            let engine = engine();
+            let a = ExplainRequest::new(ItemQuery::title("Toy Story"), settings());
+            let other = engine
+                .dataset()
+                .items()
+                .iter()
+                .find(|it| it.title != "Toy Story")
+                .map(|it| it.title.clone())
+                .expect("tiny dataset has a second title");
+            let b = ExplainRequest::new(ItemQuery::title(&other), settings());
+            let barrier = std::sync::Barrier::new(SINGLES + 1);
+            std::thread::scope(|scope| {
+                for _ in 0..SINGLES {
+                    let (engine, a, barrier) = (engine.clone(), &a, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        assert!(engine.explain(a).is_ok());
+                    });
+                }
+                barrier.wait();
+                let batch = engine.explain_batch(&[a.clone(), b.clone()], &Budget::unlimited());
+                assert!(batch[0].0.is_ok());
+            });
+            assert_eq!(engine.solve_count(), 2, "A and B solved once each");
+        }
     }
 
     #[test]
@@ -2228,7 +1977,7 @@ mod tests {
         // Background refinement reuses the memoized (items, universe) for
         // its exact re-solve and still upgrades the entry in place.
         assert!(engine.refine_now(&first));
-        let (r, served) = engine.explain_traced(&first);
+        let (r, served) = traced(&engine, &first);
         assert_eq!(served, ServedFrom::ResultCache);
         assert!(matches!(&*r, Ok(res) if res.approx.is_none()));
     }

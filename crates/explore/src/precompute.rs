@@ -202,13 +202,12 @@ impl SchedulerInner {
             .collect();
         candidates
             .sort_by_key(|(count, request)| (std::cmp::Reverse(*count), request.fingerprint()));
-        // Assemble up to `budget` non-resident requests, then warm them
-        // as ONE fused batch: requests sharing cube-build options pay a
-        // single combined cube build (`MapRatEngine::explain_batch`)
-        // instead of one dataset scan each.
-        let mut batch: Vec<ExplainRequest> = Vec::new();
+        // Warm one request at a time, re-checking the foreground gauge
+        // before each: a warm occupies one worker for one solve, and
+        // foreground traffic arriving mid-pass takes the rest.
+        let mut warmed = 0;
         for (_, request) in candidates {
-            if batch.len() >= self.budget {
+            if warmed >= self.budget {
                 break;
             }
             if self.engine.foreground_inflight() > 0 {
@@ -216,12 +215,11 @@ impl SchedulerInner {
                 self.deferred.fetch_add(1, Ordering::Relaxed);
                 break;
             }
-            if !self.engine.cached(&request) {
-                batch.push(request);
+            if self.engine.warm(&request) {
+                warmed += 1;
+                self.warmed.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let warmed = self.engine.warm_batch(&batch);
-        self.warmed.fetch_add(warmed as u64, Ordering::Relaxed);
         warmed
     }
 }
@@ -270,7 +268,11 @@ mod tests {
         scheduler2.record(&request("No Such Movie"));
         assert_eq!(scheduler2.tick_once(), 1, "one warm within budget");
         assert_eq!(scheduler2.warmed(), 1);
-        let (_, served) = engine.explain_traced(&popular);
+        let (_, served) = engine.explain_opts(
+            &popular,
+            &maprat_core::Budget::unlimited(),
+            crate::approx::ApproxMode::default(),
+        );
         assert_eq!(
             served,
             crate::engine::ServedFrom::ResultCache,

@@ -167,11 +167,12 @@ impl AppState {
         response.with_header("X-MapRat-Cache", served.as_str())
     }
 
-    /// `POST /api/v1/explain/batch` — explains several related requests in
-    /// one call, letting the engine fuse compatible cube builds
+    /// `POST /api/v1/explain/batch` — explains several requests in one
+    /// call, fanned out over the worker pool
     /// (`MapRatEngine::explain_batch`). The `"results"` array is
     /// index-aligned with the request's `"requests"`; each slot carries
-    /// its own `"cache"` label (`batch` for fused members) and either the
+    /// its own `"cache"` label (the single-explain labels, plus
+    /// `coalesced` for a repeat of an earlier slot) and either the
     /// explain `"result"` or a structured `"error"`, so one failing
     /// member never fails its neighbours.
     fn explain_batch_route(&self, req: &Request) -> Response {
@@ -1174,7 +1175,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_explain_fuses_and_matches_single_route() {
+    fn batch_explain_slots_are_misses_matching_single_route() {
         let s = server(); // fresh engine → every member is a cold solve
         let titles = ["Toy Story", "Jaws", "Forrest Gump"];
         let members: Vec<String> = titles.iter().map(|t| batch_member(t)).collect();
@@ -1189,8 +1190,8 @@ mod tests {
             let slot = results.at(i).unwrap();
             assert_eq!(
                 slot.get("cache").unwrap().as_str(),
-                Some("batch"),
-                "same-settings cold members fuse: {reply}"
+                Some("miss"),
+                "cold members are single-explain misses: {reply}"
             );
             // Each slot must be byte-identical to the single-route answer
             // (served from the cache the batch populated).
