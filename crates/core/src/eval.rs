@@ -268,7 +268,7 @@ impl<'p, 'c> SelectionEval<'p, 'c> {
                 let mut pair = f.pair_sum;
                 if diversity {
                     for &j in &self.members {
-                        pair += (mean - self.problem.cand_mean[j]).abs();
+                        pair += (mean - self.problem.cols.cand_mean[j]).abs();
                     }
                 }
                 self.problem.score_from_parts(
@@ -286,7 +286,7 @@ impl<'p, 'c> SelectionEval<'p, 'c> {
                 if diversity {
                     for (j, &other) in self.members.iter().enumerate() {
                         if j != pos {
-                            let m = self.problem.cand_mean[other];
+                            let m = self.problem.cols.cand_mean[other];
                             pair += (mean_in - m).abs() - (mean_out - m).abs();
                         }
                     }
@@ -305,7 +305,7 @@ impl<'p, 'c> SelectionEval<'p, 'c> {
                 if diversity {
                     for (j, &other) in self.members.iter().enumerate() {
                         if j != pos {
-                            pair -= (mean_out - self.problem.cand_mean[other]).abs();
+                            pair -= (mean_out - self.problem.cols.cand_mean[other]).abs();
                         }
                     }
                 }
@@ -338,7 +338,7 @@ impl<'p, 'c> SelectionEval<'p, 'c> {
         out: &mut [f64],
     ) {
         let p = self.problem;
-        let cols = &p.by_support;
+        let cols = &p.cols.by_support;
         let len = out.len();
         let k = self.members.len();
         let f = self.frames[k];
@@ -365,7 +365,7 @@ impl<'p, 'c> SelectionEval<'p, 'c> {
                 if pos == Some(j) {
                     continue;
                 }
-                let m = p.cand_mean[other];
+                let m = p.cols.cand_mean[other];
                 match mean_out {
                     Some(mean_out) => {
                         let gap_out = (mean_out - m).abs();
@@ -399,7 +399,7 @@ impl<'p, 'c> SelectionEval<'p, 'c> {
             f.err_weighted += n * mad;
             f.err_total += n;
             for &j in &self.members[..d] {
-                f.pair_sum += (mean - self.problem.cand_mean[j]).abs();
+                f.pair_sum += (mean - self.problem.cols.cand_mean[j]).abs();
             }
             self.frames.push(f);
             Self::ensure_bitmap(&mut self.prefix, d + 1, universe);
@@ -568,7 +568,7 @@ mod tests {
                     let len = m - sel.len();
                     eval.probe_objectives_by_support(task, pos, &mut out[..len]);
                     for (r, &obj) in out[..len].iter().enumerate() {
-                        let candidate = p.by_support.index[r] as usize;
+                        let candidate = p.cols.by_support.index[r] as usize;
                         if eval.contains(candidate) {
                             continue;
                         }

@@ -56,18 +56,20 @@ pub fn solve(problem: &MiningProblem<'_>, task: Task) -> Option<Solution> {
         suffix_min_mad: {
             let mut v = vec![f64::INFINITY; m + 1];
             for i in (0..m).rev() {
-                v[i] = v[i + 1].min(problem.cand_mad[i]);
+                v[i] = v[i + 1].min(problem.cols.cand_mad[i]);
             }
             v
         },
         // The pool-wide mean range bounds any pairwise gap from above.
         gap_bound: {
             let lo = problem
+                .cols
                 .cand_mean
                 .iter()
                 .cloned()
                 .fold(f64::INFINITY, f64::min);
             let hi = problem
+                .cols
                 .cand_mean
                 .iter()
                 .cloned()
@@ -112,7 +114,7 @@ impl Search<'_, '_> {
     /// deviation among the current members (∞ for the empty prefix).
     fn enumerate(&mut self, eval: &mut SelectionEval<'_, '_>, start: usize, min_mad: f64) {
         for c in start..self.m {
-            let child_min_mad = min_mad.min(self.problem.cand_mad[c]);
+            let child_min_mad = min_mad.min(self.problem.cols.cand_mad[c]);
             eval.apply(Move::Add { candidate: c });
             let obj = eval.objective(self.task);
             let cov = eval.coverage();

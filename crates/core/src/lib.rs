@@ -54,7 +54,7 @@ pub use budget::Budget;
 pub use error::MineError;
 pub use eval::SelectionEval;
 pub use miner::{Explanation, Miner};
-pub use problem::{MiningProblem, Task};
+pub use problem::{MiningProblem, PoolColumns, Task};
 pub use rhe::{RheParams, RheStats};
 pub use settings::{SearchSettings, SearchSettingsBuilder};
 pub use solution::{ExplainedGroup, Interpretation, Solution};

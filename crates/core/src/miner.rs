@@ -4,13 +4,14 @@
 
 use crate::budget::Budget;
 use crate::error::MineError;
-use crate::problem::{MiningProblem, Task};
+use crate::problem::{MiningProblem, PoolColumns, Task};
 use crate::query::ItemQuery;
 use crate::rhe;
 use crate::settings::SearchSettings;
 use crate::solution::Interpretation;
 use maprat_cube::{CubeOptions, RatingCube};
 use maprat_data::{Dataset, ItemId, RatingStats};
+use std::sync::Arc;
 
 /// A complete explanation: both interpretations plus query context.
 #[derive(Debug, Clone)]
@@ -138,8 +139,25 @@ impl<'a> Miner<'a> {
         settings: &SearchSettings,
         budget: &Budget,
     ) -> Result<Explanation, MineError> {
-        let problem = MiningProblem::new(
+        let columns = Arc::new(PoolColumns::new(cube));
+        self.explain_cube_with(query, items, cube, columns, settings, budget)
+    }
+
+    /// Like [`Miner::explain_cube_budget`] over the cube's already-built
+    /// [`PoolColumns`]: re-solves of one cube under new solver settings
+    /// share a single build. Answer-identical to deriving them afresh.
+    pub fn explain_cube_with(
+        &self,
+        query: &ItemQuery,
+        items: Vec<ItemId>,
+        cube: &RatingCube,
+        columns: Arc<PoolColumns>,
+        settings: &SearchSettings,
+        budget: &Budget,
+    ) -> Result<Explanation, MineError> {
+        let problem = MiningProblem::with_columns(
             cube,
+            columns,
             settings.max_groups,
             settings.min_coverage,
             settings.dm_lambda,

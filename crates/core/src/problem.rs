@@ -13,7 +13,7 @@
 //!   groups are still internally consistent.
 
 use maprat_cube::{Bitmap, CandidateGroup, RatingCube};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Which of the two mining sub-problems to solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,11 +39,11 @@ impl Task {
 
 /// A mining problem instance: candidate pool + constraints.
 ///
-/// Construction precomputes per-candidate scalars (support, mean, mean
-/// absolute deviation) and the candidate order by descending support with
-/// those scalars permuted into it, so the solver's inner loops and
-/// [`max_achievable_coverage`] never re-derive them from the cube's
-/// aggregates.
+/// The solver's inner loops and [`max_achievable_coverage`] read the
+/// pool through its [`PoolColumns`], never re-deriving per-candidate
+/// scalars from the cube's aggregates. The columns do not depend on `k`,
+/// `α` or `λ`, so [`MiningProblem::with_columns`] lets every re-solve of
+/// one cube share a single build.
 ///
 /// [`max_achievable_coverage`]: MiningProblem::max_achievable_coverage
 pub struct MiningProblem<'a> {
@@ -54,6 +54,20 @@ pub struct MiningProblem<'a> {
     pub min_coverage: f64,
     /// DM consistency penalty `λ`.
     pub dm_lambda: f64,
+    /// The cube's k/α/λ-independent columns.
+    pub(crate) cols: Arc<PoolColumns>,
+    /// Reusable union scratch for [`coverage`](MiningProblem::coverage), so
+    /// the cold path stops allocating a fresh bitmap per call.
+    cover_scratch: Mutex<Bitmap>,
+}
+
+/// The k/α/λ-independent part of a [`MiningProblem`]: per-candidate
+/// scalars (support, mean, mean absolute deviation), the candidate order
+/// by descending support with those scalars permuted into it, and the
+/// candidates' sparse cover words. A pure function of the cube.
+pub struct PoolColumns {
+    /// The cube's universe `|R_I|`, which bounds every cover word index.
+    universe: usize,
     /// Per-candidate `stats.count()` as `f64`.
     pub(crate) cand_n: Vec<f64>,
     /// Per-candidate `stats.count()` as integers.
@@ -73,14 +87,11 @@ pub struct MiningProblem<'a> {
     word_idx: Vec<u32>,
     word_bits: Vec<u64>,
     word_offsets: Vec<u32>,
-    /// Reusable union scratch for [`coverage`](MiningProblem::coverage), so
-    /// the cold path stops allocating a fresh bitmap per call.
-    cover_scratch: Mutex<Bitmap>,
 }
 
-impl<'a> MiningProblem<'a> {
-    /// Creates a problem over a materialized cube.
-    pub fn new(cube: &'a RatingCube, max_groups: usize, min_coverage: f64, dm_lambda: f64) -> Self {
+impl PoolColumns {
+    /// Derives the columns of a cube's candidate pool.
+    pub fn new(cube: &RatingCube) -> Self {
         let groups = cube.groups();
         let cand_n: Vec<f64> = groups.iter().map(|g| g.stats.count() as f64).collect();
         let cand_support: Vec<u32> = groups.iter().map(|g| g.support() as u32).collect();
@@ -104,11 +115,8 @@ impl<'a> MiningProblem<'a> {
             });
             word_offsets.push(word_idx.len() as u32);
         }
-        MiningProblem {
-            cube,
-            max_groups,
-            min_coverage,
-            dm_lambda,
+        PoolColumns {
+            universe: cube.universe(),
             cand_n,
             cand_support,
             cand_mad,
@@ -117,6 +125,48 @@ impl<'a> MiningProblem<'a> {
             word_idx,
             word_bits,
             word_offsets,
+        }
+    }
+}
+
+impl<'a> MiningProblem<'a> {
+    /// Creates a problem over a materialized cube.
+    pub fn new(cube: &'a RatingCube, max_groups: usize, min_coverage: f64, dm_lambda: f64) -> Self {
+        Self::with_columns(
+            cube,
+            Arc::new(PoolColumns::new(cube)),
+            max_groups,
+            min_coverage,
+            dm_lambda,
+        )
+    }
+
+    /// Creates a problem over a cube whose [`PoolColumns`] were already
+    /// built, so a re-solve under new `k`/`α`/`λ` skips deriving them.
+    /// `columns` must be `PoolColumns::new(cube)`; the answer is then
+    /// bit-identical to [`MiningProblem::new`]'s.
+    ///
+    /// # Panics
+    /// If `columns` were built for a pool of another size or universe.
+    pub fn with_columns(
+        cube: &'a RatingCube,
+        columns: Arc<PoolColumns>,
+        max_groups: usize,
+        min_coverage: f64,
+        dm_lambda: f64,
+    ) -> Self {
+        // `missing_count` indexes unions of this cube's universe by the
+        // columns' word indexes unchecked.
+        assert!(
+            columns.cand_n.len() == cube.len() && columns.universe == cube.universe(),
+            "pool columns built for another cube"
+        );
+        MiningProblem {
+            cube,
+            max_groups,
+            min_coverage,
+            dm_lambda,
+            cols: columns,
             cover_scratch: Mutex::new(Bitmap::new(cube.universe())),
         }
     }
@@ -129,17 +179,19 @@ impl<'a> MiningProblem<'a> {
     /// the dense unions would.
     #[inline]
     pub(crate) fn missing_count(&self, candidate: usize, base: &[u64]) -> usize {
+        let cols = &*self.cols;
         let range =
-            self.word_offsets[candidate] as usize..self.word_offsets[candidate + 1] as usize;
+            cols.word_offsets[candidate] as usize..cols.word_offsets[candidate + 1] as usize;
         let mut missing = 0usize;
-        for (&w, &bits) in self.word_idx[range.clone()]
+        for (&w, &bits) in cols.word_idx[range.clone()]
             .iter()
-            .zip(&self.word_bits[range])
+            .zip(&cols.word_bits[range])
         {
             debug_assert!((w as usize) < base.len(), "cover block outside universe");
             // SAFETY: every entry's block index comes from a cover of the
-            // same universe as `base` (both `ceil(universe/64)` blocks),
-            // so `w < base.len()` by construction. This probe runs ~10⁵
+            // same universe as `base` (both `ceil(universe/64)` blocks;
+            // `with_columns` asserts the columns' universe is the
+            // cube's), so `w < base.len()`. This probe runs ~10⁵
             // times per solve; the bounds check is measurable.
             missing += (bits & !unsafe { *base.get_unchecked(w as usize) }).count_ones() as usize;
         }
@@ -150,7 +202,8 @@ impl<'a> MiningProblem<'a> {
     /// `i` — the scalars every incremental probe combines.
     #[inline]
     pub(crate) fn cand(&self, i: usize) -> (f64, f64, f64) {
-        (self.cand_n[i], self.cand_mad[i], self.cand_mean[i])
+        let cols = &*self.cols;
+        (cols.cand_n[i], cols.cand_mad[i], cols.cand_mean[i])
     }
 
     /// The task score assembled from running aggregates: `err_weighted` /
@@ -238,11 +291,12 @@ impl<'a> MiningProblem<'a> {
     /// The description error `err(S) ∈ [0, 4]`: covered-rating-weighted
     /// mean absolute deviation from group averages.
     pub fn description_error(&self, selection: &[usize]) -> f64 {
+        let cols = &*self.cols;
         let mut weighted = 0.0;
         let mut total = 0.0;
         for &i in selection {
-            weighted += self.cand_mad[i] * self.cand_n[i];
-            total += self.cand_n[i];
+            weighted += cols.cand_mad[i] * cols.cand_n[i];
+            total += cols.cand_n[i];
         }
         if total == 0.0 {
             0.0
@@ -262,11 +316,12 @@ impl<'a> MiningProblem<'a> {
         if selection.len() < 2 {
             return 0.0;
         }
+        let means = &self.cols.cand_mean;
         let mut sum = 0.0;
         let mut pairs = 0usize;
         for i in 0..selection.len() {
             for j in i + 1..selection.len() {
-                sum += (self.cand_mean[selection[i]] - self.cand_mean[selection[j]]).abs();
+                sum += (means[selection[i]] - means[selection[j]]).abs();
                 pairs += 1;
             }
         }
@@ -302,7 +357,7 @@ impl<'a> MiningProblem<'a> {
         if self.cube.universe() == 0 {
             return 0.0;
         }
-        let top: usize = self.by_support.support[..self.selection_size()]
+        let top: usize = self.cols.by_support.support[..self.selection_size()]
             .iter()
             .map(|&s| s as usize)
             .sum();
@@ -471,19 +526,19 @@ mod tests {
     fn support_order_is_descending_with_index_ties() {
         let (_, cube) = setup();
         let p = MiningProblem::new(&cube, 3, 0.2, 0.5);
-        let order = &p.by_support;
+        let order = &p.cols.by_support;
         let mut seen = vec![false; p.pool_size()];
         for (r, &i) in order.index.iter().enumerate() {
             let i = i as usize;
             assert!(!seen[i], "candidate {i} listed twice");
             seen[i] = true;
-            assert_eq!(order.support[r], p.cand_support[i]);
-            assert_eq!(order.n[r].to_bits(), p.cand_n[i].to_bits());
+            assert_eq!(order.support[r], p.cols.cand_support[i]);
+            assert_eq!(order.n[r].to_bits(), p.cols.cand_n[i].to_bits());
             assert_eq!(
                 order.nmad[r].to_bits(),
-                (p.cand_n[i] * p.cand_mad[i]).to_bits()
+                (p.cols.cand_n[i] * p.cols.cand_mad[i]).to_bits()
             );
-            assert_eq!(order.mean[r].to_bits(), p.cand_mean[i].to_bits());
+            assert_eq!(order.mean[r].to_bits(), p.cols.cand_mean[i].to_bits());
             if r > 0 {
                 let prev = (order.support[r - 1], order.index[r - 1]);
                 assert!(

@@ -433,7 +433,7 @@ fn best_move(
     let m = problem.pool_size();
     let k = eval.len();
     let current_cov = eval.coverage();
-    let cols = &problem.by_support;
+    let cols = &problem.cols.by_support;
 
     // Both coverage predicates are monotone in the integer covered count,
     // so they reduce to one integer threshold each, derived once here: a
@@ -504,7 +504,7 @@ fn best_move(
         let members_in = eval
             .selection()
             .iter()
-            .filter(|&&j| problem.cand_support[j] as usize >= need)
+            .filter(|&&j| problem.cols.cand_support[j] as usize >= need)
             .count();
         stats.scanned += len;
         stats.evaluations += len - members_in;
@@ -600,7 +600,7 @@ mod tests {
             // `cand_support` array (L1-resident) instead of striding the fat
             // `CandidateGroup` structs — several times less memory touched
             // per sweep.
-            let supports = &problem.cand_support;
+            let supports = &problem.cols.cand_support;
             for pos in 0..k {
                 // The rest-union count decides drops exactly and bounds swaps
                 // from both sides: rest alone feasible ⇒ every swap at this
@@ -683,7 +683,7 @@ mod tests {
             }
         };
 
-        let supports = &problem.cand_support;
+        let supports = &problem.cols.cand_support;
         for pos in 0..k {
             let rest_count = eval.probe_covered(Move::Drop { pos });
             for (candidate, &support) in supports.iter().enumerate() {
@@ -729,6 +729,51 @@ mod tests {
             },
         );
         (dataset, cube)
+    }
+
+    #[test]
+    fn shared_pool_columns_solve_bit_identically() {
+        // One columns build serves every k/α re-solve of a cube: each
+        // solve over it matches a fresh `MiningProblem::new` in solution
+        // bits and in solver work.
+        for geo in [false, true] {
+            let (_, cube) = fixture(71, geo);
+            let columns = std::sync::Arc::new(crate::problem::PoolColumns::new(&cube));
+            for k in 1..=6 {
+                for step in 0..=9 {
+                    let alpha = step as f64 / 10.0;
+                    let fresh = MiningProblem::new(&cube, k, alpha, 0.5);
+                    let shared = MiningProblem::with_columns(
+                        &cube,
+                        std::sync::Arc::clone(&columns),
+                        k,
+                        alpha,
+                        0.5,
+                    );
+                    for task in Task::ALL {
+                        let params = RheParams::default();
+                        let (a, a_stats) = solve_with_stats(&fresh, task, &params).unwrap();
+                        let (b, b_stats) = solve_with_stats(&shared, task, &params).unwrap();
+                        let at = format!("geo={geo} k={k} alpha={alpha} {task:?}");
+                        assert_eq!(a.indices, b.indices, "{at}");
+                        assert_eq!(a.objective.to_bits(), b.objective.to_bits(), "{at}");
+                        assert_eq!(a.coverage.to_bits(), b.coverage.to_bits(), "{at}");
+                        assert_eq!(a.meets_coverage, b.meets_coverage, "{at}");
+                        assert_eq!(a_stats, b_stats, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pool columns built for another cube")]
+    fn pool_columns_of_another_cube_are_rejected() {
+        let (_, plain) = fixture(71, false);
+        let (_, geo) = fixture(71, true);
+        assert_ne!(plain.len(), geo.len());
+        let columns = std::sync::Arc::new(crate::problem::PoolColumns::new(&plain));
+        let _ = MiningProblem::with_columns(&geo, columns, 3, 0.2, 0.5);
     }
 
     #[test]

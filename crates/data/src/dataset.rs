@@ -49,6 +49,17 @@ fn build_csr(
     (item_offsets, user_offsets, user_rating_idx)
 }
 
+/// `span` widened to take in every timestamp of `ratings`.
+fn widen_span(
+    span: Option<(Timestamp, Timestamp)>,
+    ratings: &[Rating],
+) -> Option<(Timestamp, Timestamp)> {
+    ratings.iter().fold(span, |span, r| match span {
+        None => Some((r.ts, r.ts)),
+        Some((lo, hi)) => Some((lo.min(r.ts), hi.max(r.ts))),
+    })
+}
+
 /// Immutable, validated collaborative-rating dataset.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -70,6 +81,9 @@ pub struct Dataset {
     user_offsets: Vec<u32>,
     /// Rating indexes grouped by user.
     user_rating_idx: Vec<u32>,
+    /// Earliest and latest rating timestamps, kept up to date by
+    /// [`DatasetBuilder::build`] and [`Dataset::with_appended`].
+    time_span: Option<(Timestamp, Timestamp)>,
     /// Lowercased title → item.
     title_index: HashMap<String, ItemId>,
     /// Lowercased person name → person.
@@ -214,10 +228,9 @@ impl Dataset {
     }
 
     /// Earliest and latest rating timestamps, if any ratings exist.
+    /// `O(1)`: the span is stored, not rescanned.
     pub fn time_span(&self) -> Option<(Timestamp, Timestamp)> {
-        let min = self.ratings.iter().map(|r| r.ts).min()?;
-        let max = self.ratings.iter().map(|r| r.ts).max()?;
-        Some((min, max))
+        self.time_span
     }
 
     /// Merges an append batch into a new immutable dataset.
@@ -358,6 +371,7 @@ impl Dataset {
             item_offsets,
             user_offsets,
             user_rating_idx,
+            time_span: widen_span(self.time_span, &new_ratings),
             title_index,
             person_index: self.person_index.clone(),
             acts_in,
@@ -489,6 +503,7 @@ impl DatasetBuilder {
         // CSR over items, and over users (counting sort of rating indexes).
         let (item_offsets, user_offsets, user_rating_idx) =
             build_csr(items.len(), users.len(), &ratings);
+        let time_span = widen_span(None, &ratings);
 
         let title_index = items
             .iter()
@@ -520,6 +535,7 @@ impl DatasetBuilder {
             item_offsets,
             user_offsets,
             user_rating_idx,
+            time_span,
             title_index,
             person_index,
             acts_in,
@@ -673,6 +689,63 @@ mod tests {
         assert_eq!(lo, Timestamp::from_ymd(2000, 6, 1));
         assert_eq!(hi, Timestamp::from_ymd(2000, 6, 5));
         assert!(d.summary().contains("3 ratings"));
+    }
+
+    #[test]
+    fn appended_time_span_matches_full_scan() {
+        let scan = |d: &Dataset| -> Option<(Timestamp, Timestamp)> {
+            let min = d.ratings().iter().map(|r| r.ts).min()?;
+            Some((min, d.ratings().iter().map(|r| r.ts).max()?))
+        };
+        let rate = |item: u32, y: i64, m: u32, day: u32| {
+            Rating::new(
+                UserId(1),
+                ItemId(item),
+                Score::new(2).unwrap(),
+                Timestamp::from_ymd(y, m, day),
+            )
+        };
+        let base = sample();
+        assert_eq!(base.time_span(), scan(&base));
+        for batch in [
+            vec![rate(0, 1999, 1, 1)],                      // extends the lower end
+            vec![rate(1, 2003, 3, 4), rate(0, 2001, 1, 1)], // extends the upper end
+            vec![rate(1, 2000, 6, 3)],                      // falls inside the span
+            vec![rate(0, 1998, 2, 2), rate(1, 2005, 5, 5)], // both ends at once
+            vec![],
+        ] {
+            let appended = base
+                .with_appended(AppendBatch {
+                    ratings: batch,
+                    ..AppendBatch::new()
+                })
+                .unwrap()
+                .dataset;
+            assert_eq!(appended.time_span(), scan(&appended));
+        }
+        let empty = DatasetBuilder::new().build().unwrap();
+        let mut b = DatasetBuilder::new();
+        b.add_user(mk_user(0, UsState::CA));
+        b.add_item(mk_item(0, "Toy Story"));
+        let one = b.build().unwrap();
+        assert_eq!(empty.time_span(), None);
+        let first = one
+            .with_appended(AppendBatch {
+                ratings: vec![Rating::new(
+                    UserId(0),
+                    ItemId(0),
+                    Score::new(4).unwrap(),
+                    Timestamp::from_ymd(2000, 1, 1),
+                )],
+                ..AppendBatch::new()
+            })
+            .unwrap()
+            .dataset;
+        assert_eq!(
+            first.time_span(),
+            scan(&first),
+            "first ratings of an empty column"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::approx::{ApproxMode, ApproxPolicy};
 use maprat_approx::{ApproxInfo, RefineLedger, StratifiedSampler, StratumCensus};
 use maprat_cache::{CacheStats, FlightError, FlightGroup, FlightOutcome, ShardedCache};
 use maprat_core::query::ItemQuery;
-use maprat_core::{parallel, Budget, Explanation, MineError, Miner, SearchSettings};
+use maprat_core::{parallel, Budget, Explanation, MineError, Miner, PoolColumns, SearchSettings};
 use maprat_cube::{CubeOptions, RatingCube};
 use maprat_data::{Dataset, ItemId};
 use std::collections::hash_map::DefaultHasher;
@@ -253,6 +253,13 @@ pub struct ServingStats {
     pub flights_joined: u64,
     /// Requests that reached the miner (cube build and/or solve).
     pub solves: u64,
+    /// Cubes the engine built: cold exact solves, sampled solves, and
+    /// personalize requests whose cube the snapshot tier did not hold.
+    pub cube_builds: u64,
+    /// [`PoolColumns`] the engine built: one per cold solve, per
+    /// profile-filtered personalize pool, and per snapshot entry the
+    /// first time a re-solve (or an unfiltered personalize) reads it.
+    pub column_builds: u64,
     /// Foreground explains currently executing.
     pub foreground_inflight: usize,
     /// Solves aborted because the request's deadline expired mid-climb.
@@ -286,12 +293,12 @@ struct SnapshotKey {
 }
 
 impl SnapshotKey {
-    fn of(request: &ExplainRequest) -> Self {
+    fn of(query: &ItemQuery, settings: &SearchSettings) -> Self {
         SnapshotKey {
-            query: request.query.clone(),
-            min_support: request.settings.min_support,
-            require_geo: request.settings.require_geo,
-            max_arity: request.settings.max_arity,
+            query: query.clone(),
+            min_support: settings.min_support,
+            require_geo: settings.require_geo,
+            max_arity: settings.max_arity,
         }
     }
 }
@@ -299,14 +306,19 @@ impl SnapshotKey {
 /// A reusable cube/cover artifact: the matched items plus the built
 /// cube. `RatingCube` Arc-shares its cover chunks, so cloning out of the
 /// tier is cheap.
-struct CubeSnapshot {
-    items: Vec<ItemId>,
-    cube: RatingCube,
+pub(crate) struct CubeSnapshot {
+    pub(crate) items: Vec<ItemId>,
+    pub(crate) cube: RatingCube,
     /// The dataset snapshot the cube was built from: its `rating_idx`
     /// indexes this snapshot's rating column, so re-solves must run
     /// against it (after an ingest commit the live column's positions
     /// may have shifted).
-    dataset: Arc<Dataset>,
+    pub(crate) dataset: Arc<Dataset>,
+    /// The cube's k/α/λ-independent [`PoolColumns`], filled by the first
+    /// caller that solves over the snapshot's cube after its build (see
+    /// [`MapRatEngine::snapshot_columns`]). Entries that are never
+    /// re-solved never pay for them.
+    columns: OnceLock<Arc<PoolColumns>>,
 }
 
 /// The census memo's key: the query (which determines `R_I`) plus the
@@ -383,6 +395,8 @@ struct EngineInner {
     /// `approx=off` caller must never join a sampled leader's flight.
     flights: FlightGroup<(ExplainRequest, u8), (CachedResult, ServedFrom)>,
     solves: AtomicU64,
+    cube_builds: AtomicU64,
+    column_builds: AtomicU64,
     foreground: AtomicUsize,
     deadline_expired: AtomicU64,
     coalesced_failures: AtomicU64,
@@ -467,6 +481,8 @@ impl MapRatEngine {
                 censuses: ShardedCache::new(SHARDS, snapshots.div_ceil(SHARDS)),
                 flights: FlightGroup::new(),
                 solves: AtomicU64::new(0),
+                cube_builds: AtomicU64::new(0),
+                column_builds: AtomicU64::new(0),
                 foreground: AtomicUsize::new(0),
                 deadline_expired: AtomicU64::new(0),
                 coalesced_failures: AtomicU64::new(0),
@@ -604,6 +620,8 @@ impl MapRatEngine {
             flights_led: self.inner.flights.leads(),
             flights_joined: self.inner.flights.joins(),
             solves: self.solve_count(),
+            cube_builds: self.inner.cube_builds.load(Ordering::Relaxed),
+            column_builds: self.inner.column_builds.load(Ordering::Relaxed),
             foreground_inflight: self.foreground_inflight(),
             deadline_expired: self.inner.deadline_expired.load(Ordering::Relaxed),
             coalesced_failures: self.inner.coalesced_failures.load(Ordering::Relaxed)
@@ -821,13 +839,12 @@ impl MapRatEngine {
         budget: &Budget,
         mode: ApproxMode,
     ) -> (CachedResult, ServedFrom) {
-        let key = SnapshotKey::of(request);
         // A panicking solve (bug, or the `solver.panic` chaos site) must
         // not unwind through the flight group and server thread: contain
         // it here and degrade it to a structured internal error.
         let (result, served) = match catch_unwind(AssertUnwindSafe(|| {
             maprat_faults::maybe_panic("solver.panic");
-            self.mine_mode(request, budget, &key, mode)
+            self.mine_mode(request, budget, mode)
         })) {
             Ok(pair) => pair,
             Err(payload) => {
@@ -860,13 +877,12 @@ impl MapRatEngine {
         &self,
         request: &ExplainRequest,
         budget: &Budget,
-        key: &SnapshotKey,
         mode: ApproxMode,
     ) -> (Result<ExplorationResult, MineError>, ServedFrom) {
         if let Some(pair) = self.mine_approx(request, budget, mode) {
             return pair;
         }
-        self.mine(request, budget, key)
+        self.mine(request, budget)
     }
 
     /// The approximate miss path: stratified-sample `R_I`, build the cube
@@ -957,6 +973,7 @@ impl MapRatEngine {
         let min_support = ((request.settings.min_support as f64) * sample.achieved_frac())
             .round()
             .max(1.0) as usize;
+        self.inner.cube_builds.fetch_add(1, Ordering::Relaxed);
         let cube = RatingCube::build(
             &dataset,
             sample.rating_idx.clone(),
@@ -1077,8 +1094,7 @@ impl MapRatEngine {
         if !still_approx() {
             return false;
         }
-        let key = SnapshotKey::of(request);
-        let (result, _) = self.mine(request, &Budget::unlimited(), &key);
+        let (result, _) = self.mine(request, &Budget::unlimited());
         self.inner.solves.fetch_add(1, Ordering::Relaxed);
         match result {
             Ok(res) => {
@@ -1104,100 +1120,112 @@ impl MapRatEngine {
     /// pure function of (dataset, query), and entries pin their dataset.
     fn collect_reusing_census(
         &self,
-        miner: &Miner,
         dataset: &Arc<Dataset>,
-        request: &ExplainRequest,
+        query: &ItemQuery,
+        settings: &SearchSettings,
     ) -> Result<(Vec<ItemId>, Vec<u32>), MineError> {
-        request.settings.validate()?;
-        let key = CensusKey::of(&request.query, self.inner.approx.sample_frac);
+        settings.validate()?;
+        let key = CensusKey::of(query, self.inner.approx.sample_frac);
         if let Some(entry) = self.inner.censuses.peek(&key) {
             if Arc::ptr_eq(&entry.dataset, dataset) {
                 return Ok((entry.items.clone(), entry.universe.clone()));
             }
         }
-        miner.collect_universe(&request.query, &request.settings)
+        Miner::new(dataset).collect_universe(query, settings)
     }
 
-    /// The actual mining work of a miss: snapshot-tier lookup, cube
-    /// build, budgeted solve.
+    /// The snapshot-tier entry for a query's cube-build inputs
+    /// (`min_support`, `require_geo`, `max_arity` of `settings`), and
+    /// whether the tier already held it. On a miss this collects `R_I`
+    /// (through the census memo), builds the cube and caches it; an empty
+    /// cube is [`MineError::NoCandidates`] and is not cached.
+    pub(crate) fn cube_snapshot(
+        &self,
+        query: &ItemQuery,
+        settings: &SearchSettings,
+    ) -> Result<(Arc<CubeSnapshot>, bool), MineError> {
+        let key = SnapshotKey::of(query, settings);
+        if let Some(snap) = self.inner.snapshots.get(&key) {
+            return Ok((snap, true));
+        }
+        let dataset = self.dataset();
+        let (items, rating_idx) = self.collect_reusing_census(&dataset, query, settings)?;
+        self.inner.cube_builds.fetch_add(1, Ordering::Relaxed);
+        let cube = RatingCube::build(
+            &dataset,
+            rating_idx,
+            CubeOptions {
+                min_support: settings.min_support,
+                require_geo: settings.require_geo,
+                max_arity: settings.max_arity,
+            },
+        );
+        if cube.is_empty() {
+            return Err(MineError::NoCandidates);
+        }
+        let snap = CubeSnapshot {
+            items,
+            cube,
+            dataset,
+            columns: OnceLock::new(),
+        };
+        Ok((self.inner.snapshots.put(key, snap), false))
+    }
+
+    /// Builds a cube's [`PoolColumns`], counting the build.
+    pub(crate) fn build_columns(&self, cube: &RatingCube) -> Arc<PoolColumns> {
+        self.inner.column_builds.fetch_add(1, Ordering::Relaxed);
+        Arc::new(PoolColumns::new(cube))
+    }
+
+    /// A snapshot entry's [`PoolColumns`], built by the first caller and
+    /// shared by every later re-solve of the entry's cube.
+    pub(crate) fn snapshot_columns(&self, snap: &CubeSnapshot) -> Arc<PoolColumns> {
+        Arc::clone(snap.columns.get_or_init(|| self.build_columns(&snap.cube)))
+    }
+
+    /// The exact mining work of a miss: the snapshot tier's cube (built
+    /// on a miss), then a budgeted solve. A cold solve derives its own
+    /// pool columns and leaves the new entry's slot empty, so entries
+    /// that are never re-solved hold no columns; a re-solve reads the
+    /// entry's shared columns.
     fn mine(
         &self,
         request: &ExplainRequest,
         budget: &Budget,
-        key: &SnapshotKey,
     ) -> (Result<ExplorationResult, MineError>, ServedFrom) {
-        match self.inner.snapshots.get(key) {
-            Some(snap) => {
-                // Re-solve against the snapshot's *pinned* dataset: the
-                // cube's positions index that snapshot's rating column,
-                // which an ingest commit may have since re-spliced.
-                let miner = Miner::new(&snap.dataset);
-                let result = miner
-                    .explain_cube_budget(
-                        &request.query,
-                        snap.items.clone(),
-                        &snap.cube,
-                        &request.settings,
-                        budget,
-                    )
-                    .map(|explanation| ExplorationResult {
-                        explanation,
-                        cube: snap.cube.clone(),
-                        items: snap.items.clone(),
-                        dataset: Arc::clone(&snap.dataset),
-                        approx: None,
-                        body: OnceLock::new(),
-                    });
-                (result, ServedFrom::SnapshotCache)
+        let (snap, served, columns) = match self.cube_snapshot(&request.query, &request.settings) {
+            Ok((snap, true)) => {
+                let columns = self.snapshot_columns(&snap);
+                (snap, ServedFrom::SnapshotCache, columns)
             }
-            None => {
-                let dataset = self.dataset();
-                let miner = Miner::new(&dataset);
-                let result = self
-                    .collect_reusing_census(&miner, &dataset, request)
-                    .and_then(|(items, rating_idx)| {
-                        let cube = RatingCube::build(
-                            &dataset,
-                            rating_idx,
-                            CubeOptions {
-                                min_support: request.settings.min_support,
-                                require_geo: request.settings.require_geo,
-                                max_arity: request.settings.max_arity,
-                            },
-                        );
-                        if cube.is_empty() {
-                            return Err(MineError::NoCandidates);
-                        }
-                        Ok((items, cube))
-                    })
-                    .and_then(|(items, cube)| {
-                        self.inner.snapshots.put(
-                            key.clone(),
-                            CubeSnapshot {
-                                items: items.clone(),
-                                cube: cube.clone(),
-                                dataset: Arc::clone(&dataset),
-                            },
-                        );
-                        let explanation = miner.explain_cube_budget(
-                            &request.query,
-                            items.clone(),
-                            &cube,
-                            &request.settings,
-                            budget,
-                        )?;
-                        Ok(ExplorationResult {
-                            explanation,
-                            cube,
-                            items,
-                            dataset: Arc::clone(&dataset),
-                            approx: None,
-                            body: OnceLock::new(),
-                        })
-                    });
-                (result, ServedFrom::Cold)
+            Ok((snap, false)) => {
+                let columns = self.build_columns(&snap.cube);
+                (snap, ServedFrom::Cold, columns)
             }
-        }
+            Err(e) => return (Err(e), ServedFrom::Cold),
+        };
+        // Solve against the snapshot's *pinned* dataset: the cube's
+        // positions index that snapshot's rating column, which an ingest
+        // commit may have since re-spliced.
+        let result = Miner::new(&snap.dataset)
+            .explain_cube_with(
+                &request.query,
+                snap.items.clone(),
+                &snap.cube,
+                columns,
+                &request.settings,
+                budget,
+            )
+            .map(|explanation| ExplorationResult {
+                explanation,
+                cube: snap.cube.clone(),
+                items: snap.items.clone(),
+                dataset: Arc::clone(&snap.dataset),
+                approx: None,
+                body: OnceLock::new(),
+            });
+        (result, served)
     }
 
     /// Convenience: explains a query/settings pair.
@@ -1935,6 +1963,62 @@ mod tests {
             });
             assert_eq!(engine.solve_count(), 2, "A and B solved once each");
         }
+    }
+
+    #[test]
+    fn work_counters_pin_a_scripted_session() {
+        // Base explain, three solver tweaks, four personalizes, base
+        // again: the snapshot tier's one cube serves the whole session,
+        // and the re-solves share one columns build.
+        use crate::personalize::{personalized_explain, VisitorProfile};
+        use maprat_data::{AgeGroup, AttrValue, Gender, UsState};
+        let engine = engine();
+        let q = ItemQuery::title("Toy Story");
+        let base = ExplainRequest::new(q.clone(), settings());
+        assert_eq!(traced(&engine, &base).1, ServedFrom::Cold);
+        for tweak in [
+            settings().with_max_groups(2),
+            settings().with_min_coverage(0.2),
+            settings().with_max_groups(4).with_min_coverage(0.15),
+        ] {
+            let (r, served) = traced(&engine, &ExplainRequest::new(q.clone(), tweak));
+            assert!(r.is_ok());
+            assert_eq!(served, ServedFrom::SnapshotCache);
+        }
+        for value in [
+            AttrValue::Gender(Gender::Male),
+            AttrValue::Gender(Gender::Female),
+            AttrValue::Age(AgeGroup::From25To34),
+            AttrValue::State(UsState::CA),
+        ] {
+            let profile = VisitorProfile::new().with(value);
+            assert!(personalized_explain(&engine, &q, &settings(), &profile).is_ok());
+        }
+        assert_eq!(traced(&engine, &base).1, ServedFrom::ResultCache);
+        let stats = engine.serving_stats();
+        assert_eq!(stats.cube_builds, 1, "one cube for the whole session");
+        assert_eq!(
+            stats.column_builds, 6,
+            "cold solve, first re-solve, one per profile-filtered pool"
+        );
+        assert_eq!(stats.solves, 4, "personalize never counts as a solve");
+    }
+
+    #[test]
+    fn personalize_validates_settings_before_the_snapshot_tier() {
+        use crate::personalize::{personalized_explain, VisitorProfile};
+        let engine = engine();
+        let q = ItemQuery::title("Toy Story");
+        assert!(engine.explain_query(&q, &settings()).is_ok());
+        for invalid in [
+            settings().with_max_groups(0),
+            settings().with_min_coverage(1.5),
+        ] {
+            let err =
+                personalized_explain(&engine, &q, &invalid, &VisitorProfile::new()).unwrap_err();
+            assert!(matches!(err, MineError::InvalidSettings(_)), "{err:?}");
+        }
+        assert_eq!(engine.serving_stats().column_builds, 1, "no solve ran");
     }
 
     #[test]

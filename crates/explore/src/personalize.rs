@@ -2,11 +2,14 @@
 //! demographic information (gender, age, location or occupation) available
 //! to constrain the groups that are highlighted. This ensures that the
 //! resulting groups are the ones that user most self-identifies with."
+//!
+//! Personalized explains bypass the engine's result tier and share its
+//! snapshot tier: the profile filters the cube cached for the query.
 
 use crate::engine::MapRatEngine;
 use maprat_core::query::ItemQuery;
-use maprat_core::{Explanation, MineError, Miner, SearchSettings};
-use maprat_cube::CandidateGroup;
+use maprat_core::{Budget, Explanation, MineError, Miner, SearchSettings};
+use maprat_cube::{CandidateGroup, RatingCube};
 use maprat_data::AttrValue;
 
 /// A (partial) visitor profile: any subset of the four demographics.
@@ -56,9 +59,12 @@ impl VisitorProfile {
 /// Explains a query with the candidate pool constrained to the visitor's
 /// profile.
 ///
-/// Personalized mining deliberately bypasses the engine's shared cache
-/// (one entry per visitor profile would thrash it); it pins the engine's
-/// current dataset and mines directly.
+/// Personalized mining bypasses the engine's result tier (one entry per
+/// visitor profile would thrash it) but shares its snapshot tier: the
+/// profile filters the cached cube of the query's cube-build inputs
+/// (built and cached on a miss), and the solve runs against that
+/// snapshot's pinned dataset, exactly as a snapshot re-solve does.
+/// Settings are validated before the tier is consulted.
 ///
 /// Degrades gracefully: if the constrained pool is empty, falls back to the
 /// unconstrained pool (an anonymous visitor sees the ordinary result).
@@ -68,17 +74,26 @@ pub fn personalized_explain(
     settings: &SearchSettings,
     profile: &VisitorProfile,
 ) -> Result<Explanation, MineError> {
-    let dataset = engine.dataset();
-    let miner = Miner::new(&dataset);
-    let (items, cube) = miner.build_cube(query, settings)?;
-    if profile.is_empty() {
-        return miner.explain_cube(query, items, &cube, settings);
+    settings.validate()?;
+    let (snap, _) = engine.cube_snapshot(query, settings)?;
+    let miner = Miner::new(&snap.dataset);
+    let solve = |cube: &RatingCube, columns| {
+        miner.explain_cube_with(
+            query,
+            snap.items.clone(),
+            cube,
+            columns,
+            settings,
+            &Budget::unlimited(),
+        )
+    };
+    if !profile.is_empty() {
+        let constrained = snap.cube.filtered(|g| profile.compatible(g));
+        if !constrained.is_empty() {
+            return solve(&constrained, engine.build_columns(&constrained));
+        }
     }
-    let constrained = cube.filtered(|g| profile.compatible(g));
-    if constrained.is_empty() {
-        return miner.explain_cube(query, items, &cube, settings);
-    }
-    miner.explain_cube(query, items, &constrained, settings)
+    solve(&snap.cube, engine.snapshot_columns(&snap))
 }
 
 #[cfg(test)]

@@ -280,6 +280,10 @@ impl AppState {
             ),
             ("invalidations", Json::Num(s.invalidations as f64)),
             ("solves", Json::Num(s.solves as f64)),
+            // Deterministic work counters: cubes built (personalize
+            // included) and candidate-pool columns derived.
+            ("cube_builds", Json::Num(s.cube_builds as f64)),
+            ("column_builds", Json::Num(s.column_builds as f64)),
             (
                 "foreground_inflight",
                 Json::Num(s.foreground_inflight as f64),
@@ -487,8 +491,9 @@ impl AppState {
             Ok(v) => v,
             Err(e) => return e.into_response(),
         };
-        // Personalized mining bypasses the shared cache (one entry per
-        // visitor profile would thrash it); the engine lends its miner.
+        // Personalized mining bypasses the result tier (one entry per
+        // visitor profile would thrash it) and shares the snapshot tier:
+        // the profile filters the query's cached cube.
         match personalized_explain(&self.engine, &request.query, &request.settings, &profile) {
             Ok(explanation) => Response::json(
                 ExplainResponse::from_explanation(&explanation)
@@ -973,6 +978,132 @@ mod tests {
         assert_eq!(reply, get_reply, "profile transports must agree");
     }
 
+    /// The personalize body as computed without the snapshot tier: a
+    /// fresh cube over the live dataset, filtered by the profile (the
+    /// whole cube when nothing matches), mined directly.
+    fn direct_personalize_body(
+        engine: &MapRatEngine,
+        request: &maprat_explore::ExplainRequest,
+        profile: &maprat_explore::personalize::VisitorProfile,
+    ) -> String {
+        let dataset = engine.dataset();
+        let miner = maprat_core::Miner::new(&dataset);
+        let (items, cube) = miner.build_cube(&request.query, &request.settings).unwrap();
+        let constrained = cube.filtered(|g| profile.compatible(g));
+        let pool = if constrained.is_empty() {
+            &cube
+        } else {
+            &constrained
+        };
+        let explanation = miner
+            .explain_cube(&request.query, items, pool, &request.settings)
+            .unwrap();
+        ExplainResponse::from_explanation(&explanation)
+            .to_json()
+            .render()
+    }
+
+    #[test]
+    fn personalize_route_is_byte_identical_to_the_direct_path() {
+        use maprat_data::{AgeGroup, AttrValue, Gender, UsState};
+        use maprat_explore::personalize::VisitorProfile;
+        let engine = MapRatEngine::from_dataset(generate(&SynthConfig::tiny(171)).unwrap());
+        let service = Arc::new(maprat_ingest::IngestService::new(engine.clone()));
+        let state = AppState::new(engine.clone()).with_ingest(service);
+        let s = HttpServer::start("127.0.0.1:0", 2, state.into_handler()).unwrap();
+        let base = "q=Toy+Story&coverage=0.05&geo=0&support=20";
+        let profiles = [
+            ("", VisitorProfile::new()),
+            (
+                "&gender=M",
+                VisitorProfile::new().with(AttrValue::Gender(Gender::Male)),
+            ),
+            (
+                "&age=25&state=CA",
+                VisitorProfile::new()
+                    .with(AttrValue::Age(AgeGroup::From25To34))
+                    .with(AttrValue::State(UsState::CA)),
+            ),
+            // No candidate matches: falls back to the whole cube.
+            (
+                "&state=WY&age=56&gender=F",
+                VisitorProfile::new()
+                    .with(AttrValue::State(UsState::WY))
+                    .with(AttrValue::Age(AgeGroup::Above56))
+                    .with(AttrValue::Gender(Gender::Female)),
+            ),
+        ];
+        let request = maprat_explore::ExplainRequest::new(
+            maprat_core::query::ItemQuery::title("Toy Story"),
+            maprat_core::SearchSettings::builder()
+                .min_coverage(0.05)
+                .require_geo(false)
+                .min_support(20)
+                .build()
+                .unwrap(),
+        );
+        let check = |phase: &str| {
+            for (params, profile) in &profiles {
+                let (status, body) = get(s.port(), &format!("/api/v1/personalize?{base}{params}"));
+                assert_eq!(status, 200, "{phase} {params}: {body}");
+                assert_eq!(
+                    body,
+                    direct_personalize_body(&engine, &request, profile),
+                    "{phase} {params}"
+                );
+            }
+        };
+        let fallback = direct_personalize_body(&engine, &request, &profiles[3].1);
+        assert_eq!(
+            fallback,
+            direct_personalize_body(&engine, &request, &VisitorProfile::new()),
+            "the impossible profile falls back"
+        );
+        check("cold engine");
+        assert_eq!(engine.serving_stats().cube_builds, 1);
+        check("warmed engine");
+        let other = engine
+            .dataset()
+            .items()
+            .iter()
+            .find(|it| it.title != "Toy Story")
+            .map(|it| it.title.clone())
+            .unwrap();
+        let commit = |title: &str| {
+            let body = format!(
+                r#"{{"ratings":[{{"user":0,"item":"{title}","score":5,"ts":"2003-01-15"}},{{"user":1,"item":"{title}","score":1,"ts":"1999-03-02"}}]}}"#
+            );
+            let (status, reply) = post(s.port(), "/api/v1/ingest", &body);
+            assert_eq!(status, 200, "{reply}");
+        };
+        commit(&other);
+        check("retained pre-ingest snapshot");
+        assert_eq!(
+            engine.serving_stats().cube_builds,
+            1,
+            "a commit to another item keeps the snapshot"
+        );
+        commit("Toy Story");
+        check("after a commit to the queried item");
+        assert_eq!(
+            engine.serving_stats().cube_builds,
+            2,
+            "the touched cube rebuilds"
+        );
+    }
+
+    #[test]
+    fn personalize_rejects_invalid_settings_with_a_resident_snapshot() {
+        let s = server();
+        let base = "/api/v1/personalize?q=Toy+Story&geo=0&gender=M";
+        let (status, body) = get(s.port(), &format!("{base}&coverage=0.05"));
+        assert_eq!(status, 200, "{body}");
+        for bad in ["&k=0", "&coverage=1.5"] {
+            let (status, body) = get(s.port(), &format!("{base}{bad}"));
+            assert_eq!(status, 400, "{bad}: {body}");
+        }
+    }
+
     #[test]
     fn explain_reports_cache_tier_in_header() {
         let s = server(); // fresh engine → cold caches
@@ -1014,6 +1145,8 @@ mod tests {
         assert_eq!(result.get("hits").unwrap().as_f64(), Some(1.0));
         assert_eq!(result.get("misses").unwrap().as_f64(), Some(1.0));
         assert_eq!(v.get("solves").unwrap().as_f64(), Some(1.0));
+        assert_eq!(v.get("cube_builds").unwrap().as_f64(), Some(1.0));
+        assert_eq!(v.get("column_builds").unwrap().as_f64(), Some(1.0));
         assert!(v.get("snapshot_cache").unwrap().get("len").is_some());
         assert!(v.get("flights").unwrap().get("led").is_some());
         // The scheduler is attached, so its counters appear…
