@@ -10,10 +10,6 @@
 //! serving contract is that commits hot-swap snapshots without stalling
 //! explains.
 //!
-//! A watched cube is delta-maintained across every commit and compared
-//! against a from-scratch rebuild at the end — the bench fails if the
-//! incremental path ever diverges bit-for-bit.
-//!
 //! Run: `cargo run --release -p maprat-bench --bin exp_ingest --
 //! [--commits N] [--batch N] [--readers N] [out.json]` (defaults:
 //! 8 commits × 64 ratings, 2 readers, output `BENCH_pr7.json`).
@@ -28,7 +24,6 @@ use maprat_bench::timing::{ms, percentile, tail};
 use maprat_bench::{dataset_arc, Scale, ShapeCheck};
 use maprat_core::query::ItemQuery;
 use maprat_core::{parallel, SearchSettings};
-use maprat_cube::{CubeOptions, RatingCube};
 use maprat_data::{AgeGroup, Gender, MonthKey, Occupation, Score, Timestamp, Zip};
 use maprat_explore::MapRatEngine;
 use maprat_ingest::{IngestBuffer, IngestService, ItemSpec, NewUser, RatingEvent, UserSpec};
@@ -139,17 +134,6 @@ fn main() {
     let base_ratings = engine.dataset().num_ratings();
     let service = Arc::new(IngestService::new(engine.clone()));
 
-    // Delta-maintain a watched cube across the run; verified at the end.
-    let watched_query = ItemQuery::title(RATED_TITLES[0]);
-    let watched_options = CubeOptions {
-        min_support: 5,
-        require_geo: false,
-        max_arity: 3,
-    };
-    service
-        .watch(&watched_query, watched_options.clone())
-        .expect("planted title resolves");
-
     // Phase 1 — quiet cold-explain baseline (no commits in flight).
     let quiet_done = AtomicBool::new(true); // one bounded pass
     let quiet_counter = AtomicUsize::new(0);
@@ -219,27 +203,7 @@ fn main() {
         ms(load_tail.p99)
     );
 
-    // The delta-maintained cube must be bit-identical to a from-scratch
-    // build over the final snapshot.
     let final_dataset = service.engine().dataset();
-    let maintained = service.watched_cube(&watched_query).expect("still watched");
-    let universe = service
-        .watched_universe(&watched_query)
-        .expect("still watched");
-    let scratch = RatingCube::build(&final_dataset, universe, watched_options);
-    let cube_identical = maintained.len() == scratch.len()
-        && maintained.rating_indexes() == scratch.rating_indexes()
-        && maintained.total_stats() == scratch.total_stats()
-        && maintained
-            .groups()
-            .iter()
-            .zip(scratch.groups())
-            .all(|(a, b)| a.desc == b.desc && a.stats == b.stats && a.cover == b.cover);
-    println!(
-        "watched cube after {commits} delta commits: {} groups, scratch-rebuild identical: {cube_identical}",
-        maintained.len()
-    );
-
     let explain_p95_under = percentile(&under_ingest, 95.0).as_secs_f64() * 1e3;
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -268,8 +232,7 @@ fn main() {
         "  \"explain_under_ingest_p99_ms\": {},",
         ms(load_tail.p99)
     );
-    let _ = writeln!(json, "  \"explain_failures\": {explain_failures},");
-    let _ = writeln!(json, "  \"cube_delta_identical\": {cube_identical}");
+    let _ = writeln!(json, "  \"explain_failures\": {explain_failures}");
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, &json).expect("write ingest snapshot");
     println!("wrote {out_path}");
@@ -287,10 +250,6 @@ fn main() {
     check.expect(
         "watermark advanced to the last commit",
         service.watermark().map(|w| w.seq) == Some(commits as u64),
-    );
-    check.expect(
-        "delta-maintained cube is bit-identical to a scratch rebuild",
-        cube_identical,
     );
     check.expect(
         "ingest throughput is finite and positive",

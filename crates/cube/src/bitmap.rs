@@ -149,8 +149,8 @@ const SPARSE_MIN_WORDS: usize = 1024;
 /// At `raw_entries ≤ words / 4` the sparse form costs at most
 /// `3 × words` bytes against the dense `8 × words` — a guaranteed ≥ 62 %
 /// saving per sparse cover, before fold dedup shrinks it further. The
-/// decision is a pure function of plan-level counts, so the scratch fill
-/// and the delta rebuild always agree on a cover's representation.
+/// decision is a pure function of plan-level counts, so every build of
+/// the same plan picks the same representation for a cover.
 pub(crate) fn sparse_cover_eligible(words: usize, raw_entries: usize) -> bool {
     words >= SPARSE_MIN_WORDS && raw_entries <= words / 4
 }
@@ -425,31 +425,6 @@ impl Bitmap {
         }
     }
 
-    /// The shared-pool parts of a pooled window (`None` for owned or
-    /// sparse storage) — the delta builder re-shares whole unchanged
-    /// chunks across incremental rebuilds through this.
-    #[inline]
-    pub(crate) fn shared_parts(&self) -> Option<(&Arc<PooledBlocks>, usize, usize)> {
-        match &self.blocks {
-            Blocks::Shared { pool, start, words } => Some((pool, *start, *words)),
-            _ => None,
-        }
-    }
-
-    /// The shared-store parts of a sparse window (`None` otherwise) —
-    /// the delta builder re-shares unchanged sparse covers through this.
-    #[inline]
-    pub(crate) fn sparse_parts(&self) -> Option<(&Arc<SparseStore>, usize, usize)> {
-        match &self.blocks {
-            Blocks::Sparse {
-                store,
-                start,
-                entries,
-            } => Some((store, *start, *entries)),
-            _ => None,
-        }
-    }
-
     /// Sets position `i`.
     ///
     /// # Panics
@@ -711,7 +686,7 @@ impl Bitmap {
     /// candidate word entries against scratch blocks directly. Only
     /// dense bitmaps have a block slice — call sites that may see a
     /// sparse cover use [`for_each_set_word`](Self::for_each_set_word)
-    /// or [`or_into`](Self::or_into) instead.
+    /// instead.
     ///
     /// # Panics
     /// Panics on a sparse-container bitmap.
@@ -738,23 +713,6 @@ impl Bitmap {
             View::Sparse(w, b) => {
                 for (&wi, &wb) in w.iter().zip(b) {
                     f(wi as usize, wb);
-                }
-            }
-        }
-    }
-
-    /// ORs this bitmap's blocks into `dst`, which must span at least the
-    /// universe's blocks (`dst |= self`; extra trailing blocks of `dst`
-    /// are untouched). The delta rebuild writes previous covers into
-    /// fresh zeroed chunk windows through this, whatever their
-    /// representation.
-    #[inline]
-    pub fn or_into(&self, dst: &mut [u64]) {
-        match self.view() {
-            View::Dense(src) => (kernels::active().union_with)(&mut dst[..src.len()], src),
-            View::Sparse(w, b) => {
-                for (&wi, &wb) in w.iter().zip(b) {
-                    dst[wi as usize] |= wb;
                 }
             }
         }
@@ -1110,22 +1068,6 @@ mod tests {
         };
         assert_eq!(collect(&dense), collect(&sparse));
         assert!(!collect(&dense).iter().any(|&(_, b)| b == 0));
-    }
-
-    #[test]
-    fn or_into_scatters_either_representation() {
-        let (dense, sparse) = both_reprs(11, 500, 20);
-        let words = 500usize.div_ceil(64);
-        let mut a = vec![0u64; words];
-        let mut b = vec![0u64; words];
-        dense.or_into(&mut a);
-        sparse.or_into(&mut b);
-        assert_eq!(a, b);
-        assert_eq!(a, dense.block_slice());
-        // OR semantics: existing bits survive.
-        let mut c = vec![u64::MAX; words];
-        sparse.or_into(&mut c);
-        assert!(c.iter().all(|&w| w == u64::MAX));
     }
 
     #[test]

@@ -261,7 +261,7 @@ impl CubePlan {
         // profiles — a few thousand adds in total — so it no longer pays
         // to fan out; the parameter is kept for the fill pass's sibling
         // signature. The scan itself lives in [`crate::delta`] so the
-        // ingest path can retain it and append to it incrementally.)
+        // time slider can merge per-partition scans.)
         crate::delta::ProfileSummary::scan(dataset, rating_idx).into_plan(options)
     }
 
@@ -330,8 +330,7 @@ impl CubePlan {
             // Per-survivor representation: nearly-empty cells take
             // the sparse run container, the rest pack into dense
             // chunk windows. The decision is a pure function of the
-            // plan's raw entry counts ([`sparse_cover_eligible`]),
-            // so the delta rebuild reproduces it exactly.
+            // plan's raw entry counts ([`sparse_cover_eligible`]).
             let raw_entries = |l: usize| (entry_offsets[l + 1] - entry_offsets[l]) as usize;
             let mut dense_list: Vec<u32> = Vec::with_capacity(n);
             let mut sparse_total = 0usize;

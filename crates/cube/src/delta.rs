@@ -1,46 +1,29 @@
-//! Incremental cube maintenance over retained profile summaries.
+//! The retained counting-pass state of a rating universe.
 //!
 //! The dense two-pass builder's counting pass produces an
 //! options-independent intermediate — the distinct reviewer profiles of a
 //! rating universe, each with its score histogram and sparse cover word
-//! pattern. [`ProfileSummary`] *retains* that intermediate so it can be
-//! maintained instead of recomputed:
+//! pattern. [`ProfileSummary`] keeps that intermediate as a value:
 //!
-//! * [`ProfileSummary::append`] runs the counting pass over only the
-//!   *appended* positions and merges the new distinct profiles in — the
-//!   live-ingest delta path (cost scales with the batch, not the
-//!   universe);
+//! * [`ProfileSummary::scan`] runs the counting pass over a universe
+//!   (the first half of [`CubePlan::prepare`]);
 //! * [`ProfileSummary::merge`] concatenates partition summaries with
 //!   bit-exact word realignment — the time slider mines a window by
 //!   merging its month partitions instead of re-streaming ratings;
-//! * [`ProfileSummary::build_reusing`] rebuilds a cube after an append
-//!   while **reusing the previous cube's cover chunks**: unchanged
-//!   chunks are re-shared wholesale (`Arc` bump, zero copy), changed
-//!   survivors copy their old cover and OR only the delta word entries
-//!   (copy-on-write at chunk granularity).
+//! * [`ProfileSummary::build`] materializes the cube under any
+//!   [`CubeOptions`] through the shared [`CubePlan`] fill pass.
 //!
 //! Every path is pinned bit-identical to a from-scratch
 //! [`RatingCube::build`] — and therefore to the retained naive
-//! [`crate::oracle`] — by property tests over random append sequences.
-//!
-//! The maintained universe is *commit-major*: the initial universe keeps
-//! its (item-major) order and every commit's matching ratings append at
-//! the tail. All mined quantities (counts, histograms, coverage unions)
-//! are invariant under universe permutation, so a commit-major cube
-//! mines identically to a freshly collected one.
+//! [`crate::oracle`] — by property tests over random partitions.
 
-use crate::bitmap::{
-    alloc_chunk, seal_chunk, sparse_cover_eligible, Bitmap, PooledBlocks, SparseStore,
-};
 use crate::builder::{
-    code_of_base_cell, CandidateGroup, CellLayout, CubeOptions, CubePlan, CuboidPass, RatingCube,
-    CHUNK_WORDS, NO_SLOT,
+    code_of_base_cell, CellLayout, CubeOptions, CubePlan, CuboidPass, RatingCube, NO_SLOT,
 };
 use crate::group::GroupDesc;
 use crate::lattice::{attribute_subsets, geo_cuboids, Cuboid};
-use maprat_data::{Dataset, IndexRemap, RatingIdx, RatingStats};
-use maprat_pool::{num_threads, parallel_map};
-use std::sync::Arc;
+use maprat_data::{Dataset, RatingIdx, RatingStats};
+use maprat_pool::num_threads;
 
 /// The retained counting-pass state of one rating universe: its distinct
 /// reviewer profiles in ascending base-cell order, each with the number
@@ -49,10 +32,9 @@ use std::sync::Arc;
 ///
 /// Everything a cube build needs downstream of the per-rating scan lives
 /// here, so a summary can be built once and re-materialized under any
-/// [`CubeOptions`] — or maintained incrementally via [`append`] and
-/// [`merge`] without ever rescanning old ratings.
+/// [`CubeOptions`], or combined with others via [`merge`] without
+/// rescanning their ratings.
 ///
-/// [`append`]: ProfileSummary::append
 /// [`merge`]: ProfileSummary::merge
 #[derive(Debug, Clone, Default)]
 pub struct ProfileSummary {
@@ -78,34 +60,9 @@ pub struct ProfileSummary {
     total_hist: [u64; 5],
 }
 
-/// The per-commit delta of an [`ProfileSummary::append`]: the appended
-/// positions' profiles with word entries already in merged-universe
-/// coordinates. [`ProfileSummary::build_reusing`] ORs exactly these
-/// entries on top of the previous cube's covers.
-#[derive(Debug, Clone)]
-pub struct AppendDelta {
-    /// Counting-pass state of the appended tail, word entries addressed
-    /// in the merged universe (positions `old_universe..`).
-    part: ProfileSummary,
-    /// Universe size before the append.
-    old_universe: usize,
-}
-
-impl AppendDelta {
-    /// Number of appended positions.
-    pub fn len(&self) -> usize {
-        self.part.universe
-    }
-
-    /// True when the commit appended nothing to this universe.
-    pub fn is_empty(&self) -> bool {
-        self.part.universe == 0
-    }
-}
-
 /// Pushes a word entry, folding into the previous entry when it lands in
 /// the same cover block (the scratch scan folds consecutive same-word
-/// runs, so maintained entry lists must too for bit-identity).
+/// runs, so merged entry lists must too for bit-identity).
 #[inline]
 fn push_word(word_idx: &mut Vec<u32>, word_bits: &mut Vec<u64>, floor: usize, w: u32, bits: u64) {
     if word_idx.len() > floor && *word_idx.last().expect("non-empty") == w {
@@ -123,13 +80,6 @@ impl ProfileSummary {
     /// word patterns. This is byte-for-byte the scratch builder's first
     /// pass ([`CubePlan::prepare`] delegates here).
     pub fn scan(dataset: &Dataset, rating_idx: Vec<u32>) -> ProfileSummary {
-        Self::scan_with_offset(dataset, rating_idx, 0)
-    }
-
-    /// [`scan`](Self::scan) with cover positions numbered from
-    /// `offset` — the append path scans only the new tail but addresses
-    /// its word entries in merged-universe coordinates.
-    fn scan_with_offset(dataset: &Dataset, rating_idx: Vec<u32>, offset: usize) -> ProfileSummary {
         let all_codes = dataset.rating_user_codes();
         let all_bins = dataset.rating_score_bins();
         let mut codes: Vec<u16> = Vec::with_capacity(rating_idx.len());
@@ -197,14 +147,13 @@ impl ProfileSummary {
             let range = profile_offsets[k] as usize..profile_offsets[k + 1] as usize;
             let mut current = u32::MAX;
             for &p in &positions[range] {
-                let global = offset + p as usize;
-                let w = (global / 64) as u32;
+                let w = p / 64;
                 if w != current {
                     word_idx.push(w);
                     word_bits.push(0);
                     current = w;
                 }
-                *word_bits.last_mut().expect("just pushed") |= 1u64 << (global % 64);
+                *word_bits.last_mut().expect("just pushed") |= 1u64 << (p % 64);
             }
             word_offsets.push(word_idx.len() as u32);
         }
@@ -226,45 +175,6 @@ impl ProfileSummary {
     /// Universe size.
     pub fn universe(&self) -> usize {
         self.universe
-    }
-
-    /// Number of distinct reviewer profiles.
-    pub fn num_profiles(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// The dataset rating indexes, in cover-position order.
-    pub fn rating_indexes(&self) -> &[u32] {
-        &self.rating_idx
-    }
-
-    /// Rewrites the retained dataset rating indexes after a commit
-    /// shifted the dense rating column (splices by other items move
-    /// later indexes). Cover positions are untouched — only the labels
-    /// pointing back into the dataset change.
-    pub fn remap_rating_indexes(&mut self, remap: &IndexRemap) {
-        remap.remap_in_place(&mut self.rating_idx);
-    }
-
-    /// Counting pass over only the appended tail, merged into a new
-    /// summary. Returns the merged summary plus the [`AppendDelta`] that
-    /// [`build_reusing`](Self::build_reusing) needs to OR the new bits
-    /// on top of an existing cube's covers.
-    ///
-    /// `appended_idx` are dataset rating indexes valid in `dataset`
-    /// (call [`remap_rating_indexes`](Self::remap_rating_indexes) first
-    /// if the commit shifted old indexes); their cover positions are
-    /// `self.universe()..` in submission order.
-    pub fn append(&self, dataset: &Dataset, appended_idx: &[u32]) -> (ProfileSummary, AppendDelta) {
-        let part = Self::scan_with_offset(dataset, appended_idx.to_vec(), self.universe);
-        let merged = Self::merge_adjacent(self, &part);
-        (
-            merged,
-            AppendDelta {
-                part,
-                old_universe: self.universe,
-            },
-        )
     }
 
     /// Merges two summaries whose word entries already live in the same
@@ -409,12 +319,7 @@ impl ProfileSummary {
     /// Materializes the cube for these profiles under `options` with the
     /// default worker count.
     pub fn build(&self, options: CubeOptions) -> RatingCube {
-        self.build_with_threads(options, num_threads())
-    }
-
-    /// [`build`](Self::build) with an explicit worker budget.
-    pub fn build_with_threads(&self, options: CubeOptions, threads: usize) -> RatingCube {
-        self.clone().into_plan(options).fill(threads)
+        self.clone().into_plan(options).fill(num_threads())
     }
 
     /// Rollup + iceberg threshold + slot assignment: turns the retained
@@ -497,314 +402,6 @@ impl ProfileSummary {
             total: RatingStats::from_histogram(self.total_hist),
         }
     }
-
-    /// Rebuilds the cube after an [`append`](Self::append), reusing the
-    /// previous cube's cover chunks instead of re-scattering the whole
-    /// universe:
-    ///
-    /// * a chunk none of whose survivors gained bits (and whose block
-    ///   geometry is unchanged) is **re-shared wholesale** — new cover
-    ///   headers over the same `Arc`'d pool, zero copies;
-    /// * a changed chunk is written copy-on-write: survivors that
-    ///   existed before `memcpy` their old cover and OR only the
-    ///   *delta* word entries; survivors newly above the iceberg
-    ///   threshold scatter their full pattern.
-    ///
-    /// `prev` must be the cube built from this summary's pre-append
-    /// state under the same `options` (support counts only grow under
-    /// appends, so `prev`'s survivors are a subset of the new ones).
-    /// The result is bit-identical to [`build`](Self::build) — pinned by
-    /// the oracle property tests.
-    pub fn build_reusing(
-        &self,
-        delta: &AppendDelta,
-        prev: &RatingCube,
-        options: CubeOptions,
-        threads: usize,
-    ) -> RatingCube {
-        assert_eq!(
-            prev.options(),
-            &options,
-            "delta maintenance requires the previous cube's options"
-        );
-        assert_eq!(
-            delta.old_universe + delta.part.universe,
-            self.universe,
-            "delta does not extend the previous universe to this one"
-        );
-        let plan = self.clone().into_plan(options);
-        fill_reusing(plan, delta, prev, threads)
-    }
-}
-
-/// Whether `prev`'s covers for the new-layout dense survivors in `chunk`
-/// (all unchanged, geometry-stable) are exactly consecutive windows of
-/// one shared pool — in which case that pool can back the new chunk
-/// wholesale.
-fn wholesale_pool<'a>(
-    prev: &'a RatingCube,
-    prev_of: &[Option<usize>],
-    chunk: &[u32],
-    words: usize,
-) -> Option<&'a Arc<PooledBlocks>> {
-    let first = prev.groups()[prev_of[chunk[0] as usize]?]
-        .cover
-        .shared_parts()?;
-    if first.1 != 0 || first.2 != words {
-        return None;
-    }
-    for (li, &l) in chunk.iter().enumerate().skip(1) {
-        let (pool, start, w) = prev.groups()[prev_of[l as usize]?].cover.shared_parts()?;
-        if !Arc::ptr_eq(pool, first.0) || start != li * words || w != words {
-            return None;
-        }
-    }
-    Some(first.0)
-}
-
-/// The fill pass of [`ProfileSummary::build_reusing`]: identical slot
-/// assignment and output to [`CubePlan::fill`], but covers come from the
-/// previous cube wherever possible.
-fn fill_reusing(
-    plan: CubePlan,
-    delta: &AppendDelta,
-    prev: &RatingCube,
-    threads: usize,
-) -> RatingCube {
-    let universe = plan.rating_idx.len();
-    let words = universe.div_ceil(64).max(1);
-    let old_words = delta.old_universe.div_ceil(64).max(1);
-    let same_geometry = words == old_words;
-    let dpart = &delta.part;
-
-    let filled: Vec<(Vec<Bitmap>, Vec<[u32; 5]>)> =
-        parallel_map(plan.passes.len(), threads, |ci| {
-            let pass = &plan.passes[ci];
-            let layout = &pass.layout;
-            let n = pass.globals.len();
-            let mut hists = vec![[0u32; 5]; n];
-            if n == 0 {
-                return (Vec::new(), hists);
-            }
-            // Survivor stats: rolled up from the merged profile
-            // histograms (u32 adds — order-independent, so identical to
-            // the scratch fill's accumulation).
-            for (k, &code) in plan.profiles.iter().enumerate() {
-                let local = pass.local[layout.cell_of(code)];
-                if local == NO_SLOT {
-                    continue;
-                }
-                for (h, ph) in hists[local as usize].iter_mut().zip(&plan.profile_hists[k]) {
-                    *h += ph;
-                }
-            }
-            // Where each new survivor lived in the previous cube (`None`
-            // = newly above threshold this commit).
-            let prev_of: Vec<Option<usize>> = pass
-                .globals
-                .iter()
-                .map(|&slot| prev.index_of(&plan.slot_descs[slot as usize]))
-                .collect();
-            // Regroup the delta word entries by survivor (counting-sort
-            // scatter over the — small — appended-profile list).
-            let mut d_offsets = vec![0u32; n + 1];
-            for (k, &code) in dpart.codes.iter().enumerate() {
-                let local = pass.local[layout.cell_of(code)];
-                if local != NO_SLOT {
-                    d_offsets[local as usize + 1] +=
-                        dpart.word_offsets[k + 1] - dpart.word_offsets[k];
-                }
-            }
-            for l in 0..n {
-                d_offsets[l + 1] += d_offsets[l];
-            }
-            let total_d = d_offsets[n] as usize;
-            let mut d_word_idx = vec![0u32; total_d];
-            let mut d_word_bits = vec![0u64; total_d];
-            let mut cursor: Vec<u32> = d_offsets[..n].to_vec();
-            for (k, &code) in dpart.codes.iter().enumerate() {
-                let local = pass.local[layout.cell_of(code)];
-                if local == NO_SLOT {
-                    continue;
-                }
-                let l = local as usize;
-                let mut dst = cursor[l] as usize;
-                for j in dpart.word_offsets[k] as usize..dpart.word_offsets[k + 1] as usize {
-                    d_word_idx[dst] = dpart.word_idx[j];
-                    d_word_bits[dst] = dpart.word_bits[j];
-                    dst += 1;
-                }
-                cursor[l] = dst as u32;
-            }
-
-            // Same per-survivor representation decision as the scratch
-            // fill (a pure function of the plan's raw entry counts), so
-            // a delta rebuild and a from-scratch build agree on every
-            // cover's container.
-            let raw_entries =
-                |l: usize| (pass.entry_offsets[l + 1] - pass.entry_offsets[l]) as usize;
-            let mut dense_list: Vec<u32> = Vec::with_capacity(n);
-            let mut sparse_list: Vec<u32> = Vec::new();
-            for l in 0..n {
-                if sparse_cover_eligible(words, raw_entries(l)) {
-                    sparse_list.push(l as u32);
-                } else {
-                    dense_list.push(l as u32);
-                }
-            }
-            let mut covers: Vec<Option<Bitmap>> = vec![None; n];
-
-            // Full-pattern scatter of one fresh survivor (newly above
-            // the iceberg threshold this commit) into a zeroed window.
-            let scatter_fresh = |l: usize, window: &mut [u64]| {
-                let target = l as u32;
-                for (k, &code) in plan.profiles.iter().enumerate() {
-                    if pass.local[layout.cell_of(code)] != target {
-                        continue;
-                    }
-                    for j in plan.word_offsets[k] as usize..plan.word_offsets[k + 1] as usize {
-                        window[plan.word_idx[j] as usize] |= plan.word_bits[j];
-                    }
-                }
-            };
-
-            // Sparse survivors: an unchanged one whose previous cover is
-            // already sparse re-shares its entry window (the sparse
-            // analog of wholesale chunk re-sharing); anything else is
-            // re-materialized through a dense scratch word buffer and
-            // re-scanned into the cuboid's fresh entry store — the scan
-            // yields the same canonical entries as the scratch fill's
-            // sort-and-fold.
-            if !sparse_list.is_empty() {
-                let cap: usize = sparse_list.iter().map(|&l| raw_entries(l as usize)).sum();
-                let mut store = SparseStore::with_capacity(cap);
-                let mut windows: Vec<(u32, u32, u32)> = Vec::with_capacity(sparse_list.len());
-                let mut scratch = vec![0u64; words];
-                for &l in &sparse_list {
-                    let l = l as usize;
-                    if d_offsets[l + 1] == d_offsets[l] {
-                        if let Some((s, start, entries)) =
-                            prev_of[l].and_then(|pi| prev.groups()[pi].cover.sparse_parts())
-                        {
-                            covers[l] = Some(Bitmap::from_sparse_store(
-                                universe,
-                                Arc::clone(s),
-                                start,
-                                entries,
-                            ));
-                            continue;
-                        }
-                    }
-                    scratch.fill(0);
-                    if let Some(pi) = prev_of[l] {
-                        prev.groups()[pi].cover.or_into(&mut scratch);
-                        let range = d_offsets[l] as usize..d_offsets[l + 1] as usize;
-                        for (&wi, &wb) in d_word_idx[range.clone()].iter().zip(&d_word_bits[range])
-                        {
-                            scratch[wi as usize] |= wb;
-                        }
-                    } else {
-                        scatter_fresh(l, &mut scratch);
-                    }
-                    let start = store.len();
-                    for (wi, &wb) in scratch.iter().enumerate() {
-                        if wb != 0 {
-                            store.push(wi as u32, wb);
-                        }
-                    }
-                    windows.push((l as u32, start as u32, (store.len() - start) as u32));
-                }
-                let store = store.seal();
-                for (l, start, entries) in windows {
-                    covers[l as usize] = Some(Bitmap::from_sparse_store(
-                        universe,
-                        Arc::clone(&store),
-                        start as usize,
-                        entries as usize,
-                    ));
-                }
-            }
-
-            let per_chunk = (CHUNK_WORDS / words).max(1);
-            for chunk in dense_list.chunks(per_chunk) {
-                let count = chunk.len();
-                // Wholesale re-share: every survivor of the chunk is
-                // unchanged (no delta bits, existed before) and the
-                // block geometry is stable, and the previous covers are
-                // exactly this chunk layout over one pool.
-                let unchanged = same_geometry
-                    && chunk.iter().all(|&l| {
-                        let l = l as usize;
-                        d_offsets[l + 1] == d_offsets[l] && prev_of[l].is_some()
-                    });
-                if unchanged {
-                    if let Some(pool) = wholesale_pool(prev, &prev_of, chunk, words) {
-                        let pool = Arc::clone(pool);
-                        for (li, &l) in chunk.iter().enumerate() {
-                            covers[l as usize] = Some(Bitmap::from_shared_pool(
-                                universe,
-                                Arc::clone(&pool),
-                                li * words,
-                            ));
-                        }
-                        continue;
-                    }
-                }
-                // Copy-on-write chunk: carry old covers over (whatever
-                // their previous representation), OR only the delta
-                // entries; full scatter for fresh survivors.
-                let mut blocks = alloc_chunk(count * words);
-                for (li, &l) in chunk.iter().enumerate() {
-                    let l = l as usize;
-                    let window = &mut blocks[li * words..][..words];
-                    if let Some(pi) = prev_of[l] {
-                        prev.groups()[pi]
-                            .cover
-                            .or_into(&mut window[..old_words.min(words)]);
-                        let range = d_offsets[l] as usize..d_offsets[l + 1] as usize;
-                        for (&wi, &wb) in d_word_idx[range.clone()].iter().zip(&d_word_bits[range])
-                        {
-                            window[wi as usize] |= wb;
-                        }
-                    } else {
-                        scatter_fresh(l, window);
-                    }
-                }
-                let pool = seal_chunk(blocks);
-                for (li, &l) in chunk.iter().enumerate() {
-                    covers[l as usize] = Some(Bitmap::from_shared_pool(
-                        universe,
-                        Arc::clone(&pool),
-                        li * words,
-                    ));
-                }
-            }
-            let covers: Vec<Bitmap> = covers
-                .into_iter()
-                .map(|c| c.expect("every survivor got a cover"))
-                .collect();
-            (covers, hists)
-        });
-
-    // Scatter each cuboid's covers into the global slot order (same
-    // assembly as the scratch fill).
-    let mut slots: Vec<Option<CandidateGroup>> = Vec::with_capacity(plan.slot_descs.len());
-    slots.resize_with(plan.slot_descs.len(), || None);
-    for (pass, (covers, hists)) in plan.passes.iter().zip(filled) {
-        for ((&slot, cover), hist) in pass.globals.iter().zip(covers).zip(hists) {
-            let hist64 = hist.map(u64::from);
-            slots[slot as usize] = Some(CandidateGroup {
-                desc: plan.slot_descs[slot as usize],
-                cover,
-                stats: RatingStats::from_histogram(hist64),
-            });
-        }
-    }
-    let groups: Vec<CandidateGroup> = slots
-        .into_iter()
-        .map(|g| g.expect("every slot belongs to exactly one cuboid"))
-        .collect();
-    RatingCube::from_parts(plan.rating_idx.to_vec(), groups, plan.total, plan.options)
 }
 
 #[cfg(test)]
@@ -847,24 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn append_matches_scan_of_concatenation() {
-        let (dataset, idx) = toy_universe();
-        for split in [1, idx.len() / 3, idx.len() / 2, idx.len() - 1] {
-            let (head, tail) = idx.split_at(split);
-            let (merged, delta) =
-                ProfileSummary::scan(&dataset, head.to_vec()).append(&dataset, tail);
-            assert_eq!(delta.len(), tail.len());
-            let direct = ProfileSummary::scan(&dataset, idx.clone());
-            let options = CubeOptions {
-                min_support: 2,
-                require_geo: false,
-                max_arity: 4,
-            };
-            assert_cubes_identical(&merged.build(options.clone()), &direct.build(options));
-        }
-    }
-
-    #[test]
     fn merge_matches_scan_of_concatenation() {
         let (dataset, idx) = toy_universe();
         // Uneven parts force non-64-aligned shifts.
@@ -884,80 +463,5 @@ mod tests {
             max_arity: 4,
         };
         assert_cubes_identical(&merged.build(options.clone()), &direct.build(options));
-    }
-
-    #[test]
-    fn build_reusing_is_bit_identical_and_shares_unchanged_chunks() {
-        let (dataset, idx) = toy_universe();
-        let options = CubeOptions {
-            min_support: 3,
-            require_geo: false,
-            max_arity: 4,
-        };
-        let split = idx.len() - 5;
-        let (head, tail) = idx.split_at(split);
-        let base = ProfileSummary::scan(&dataset, head.to_vec());
-        let prev = base.build(options.clone());
-        let (merged, delta) = base.append(&dataset, tail);
-        let reused = merged.build_reusing(&delta, &prev, options.clone(), 1);
-        let scratch = RatingCube::build(&dataset, idx, options);
-        assert_cubes_identical(&reused, &scratch);
-    }
-
-    #[test]
-    fn empty_append_reshares_every_cover() {
-        let (dataset, idx) = toy_universe();
-        let options = CubeOptions {
-            min_support: 3,
-            require_geo: false,
-            max_arity: 4,
-        };
-        let base = ProfileSummary::scan(&dataset, idx);
-        let prev = base.build(options.clone());
-        let (merged, delta) = base.append(&dataset, &[]);
-        assert!(delta.is_empty());
-        let reused = merged.build_reusing(&delta, &prev, options, 1);
-        // Geometry and survivors are unchanged, so every cover must be a
-        // wholesale re-share of the previous storage: same pool (dense)
-        // or entry-store (sparse) pointers.
-        assert_eq!(reused.len(), prev.len());
-        for (new, old) in reused.groups().iter().zip(prev.groups()) {
-            match (new.cover.shared_parts(), old.cover.shared_parts()) {
-                (Some((np, ns, _)), Some((op, os, _))) => {
-                    assert!(Arc::ptr_eq(np, op), "{}", new.desc);
-                    assert_eq!(ns, os);
-                }
-                (None, None) => {
-                    let (np, ns, _) = new.cover.sparse_parts().expect("sparse");
-                    let (op, os, _) = old.cover.sparse_parts().expect("sparse");
-                    assert!(Arc::ptr_eq(np, op), "{}", new.desc);
-                    assert_eq!(ns, os);
-                }
-                (n, o) => panic!(
-                    "representation flipped across an empty append for {}: {:?} vs {:?}",
-                    new.desc,
-                    n.is_some(),
-                    o.is_some()
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn threads_do_not_change_delta_builds() {
-        let (dataset, idx) = toy_universe();
-        let options = CubeOptions {
-            min_support: 2,
-            require_geo: true,
-            max_arity: 3,
-        };
-        let split = idx.len() / 2;
-        let (head, tail) = idx.split_at(split);
-        let base = ProfileSummary::scan(&dataset, head.to_vec());
-        let prev = base.build_with_threads(options.clone(), 1);
-        let (merged, delta) = base.append(&dataset, tail);
-        let one = merged.build_reusing(&delta, &prev, options.clone(), 1);
-        let many = merged.build_reusing(&delta, &prev, options, 4);
-        assert_cubes_identical(&one, &many);
     }
 }

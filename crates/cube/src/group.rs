@@ -96,14 +96,6 @@ impl GroupDesc {
         ((self.arity() as u64) << 32) | u64::from(u32::from_be_bytes(self.values))
     }
 
-    /// The constrained pairs in canonical attribute order.
-    ///
-    /// `Vec` shim over [`pairs_iter`](Self::pairs_iter) for public call
-    /// sites that want an owned list.
-    pub fn pairs(&self) -> Vec<AVPair> {
-        self.pairs_iter().collect()
-    }
-
     /// The constrained pairs in canonical attribute order, allocation-
     /// free — rendering and overlay loops iterate this directly.
     #[inline]
@@ -147,13 +139,6 @@ impl GroupDesc {
             .iter()
             .zip(&other.values)
             .all(|(&a, &b)| a == UNSET || a == b)
-    }
-
-    /// The parent descriptors in the cube lattice (one constraint removed).
-    ///
-    /// `Vec` shim over [`parents_iter`](Self::parents_iter).
-    pub fn parents(&self) -> Vec<GroupDesc> {
-        self.parents_iter().collect()
     }
 
     /// The parent descriptors in the cube lattice (one constraint
@@ -346,7 +331,7 @@ mod tests {
         assert!(parent.subsumes(&child));
         assert!(!child.subsumes(&parent));
         assert!(GroupDesc::ALL.subsumes(&child));
-        let parents = child.parents();
+        let parents: Vec<GroupDesc> = child.parents_iter().collect();
         assert_eq!(parents.len(), 2);
         assert!(parents.contains(&parent));
     }
@@ -368,19 +353,27 @@ mod tests {
             UsState::WA.into(),
         ];
         let g = GroupDesc::from_pairs(pairs.clone());
-        assert_eq!(g.pairs(), pairs);
+        assert_eq!(g.pairs_iter().collect::<Vec<_>>(), pairs);
         assert_eq!(g.arity(), 3);
     }
 
     #[test]
     fn iterator_forms_agree_with_vec_shims() {
-        let g = GroupDesc::from_pairs([
-            AgeGroup::From18To24.into(),
-            Gender::Female.into(),
-            UsState::WA.into(),
-        ]);
-        assert_eq!(g.pairs_iter().collect::<Vec<_>>(), g.pairs());
-        assert_eq!(g.parents_iter().collect::<Vec<_>>(), g.parents());
+        // The reference lists are written out by hand, in canonical
+        // attribute order.
+        let age = AVPair::from(AgeGroup::From18To24);
+        let gender = AVPair::from(Gender::Female);
+        let state = AVPair::from(UsState::WA);
+        let g = GroupDesc::from_pairs([age, gender, state]);
+        assert_eq!(g.pairs_iter().collect::<Vec<_>>(), vec![age, gender, state]);
+        assert_eq!(
+            g.parents_iter().collect::<Vec<_>>(),
+            vec![
+                GroupDesc::from_pairs([gender, state]),
+                GroupDesc::from_pairs([age, state]),
+                GroupDesc::from_pairs([age, gender]),
+            ]
+        );
         assert_eq!(GroupDesc::ALL.pairs_iter().count(), 0);
         assert_eq!(GroupDesc::ALL.parents_iter().count(), 0);
     }

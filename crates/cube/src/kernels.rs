@@ -13,8 +13,8 @@
 //!   `is_x86_feature_detected!` confirms the CPU supports it.
 //!
 //! Selection happens **once** per process ([`active`], a `OnceLock`); the
-//! table is then a plain `&'static` and every call site in the builder,
-//! delta maintenance, and the mining loops inherits the selected ISA with
+//! table is then a plain `&'static` and every call site in the builder
+//! and the mining loops inherits the selected ISA with
 //! no per-call detection. `MAPRAT_KERNELS=scalar|portable|native` forces a
 //! tier (benchmarks compare tiers through [`scalar`]/[`select`], tests pin
 //! the fallback), and [`scalar`] keeps the naive word-at-a-time reference

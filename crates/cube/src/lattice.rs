@@ -17,14 +17,6 @@ impl Cuboid {
     /// The base cuboid (all four attributes).
     pub const BASE: Cuboid = Cuboid(0b1111);
 
-    /// The attributes of this cuboid, in canonical order.
-    ///
-    /// `Vec` shim over [`attrs_iter`](Self::attrs_iter) for call sites
-    /// that want an owned list.
-    pub fn attrs(self) -> Vec<UserAttr> {
-        self.attrs_iter().collect()
-    }
-
     /// The attributes of this cuboid, in canonical order — the
     /// allocation-free form the build and drill loops iterate.
     #[inline]
@@ -51,25 +43,11 @@ impl Cuboid {
         self.attrs_iter().map(|a| a.cardinality()).product()
     }
 
-    /// The parent cuboids (one attribute removed).
-    ///
-    /// `Vec` shim over [`parents_iter`](Self::parents_iter).
-    pub fn parents(self) -> Vec<Cuboid> {
-        self.parents_iter().collect()
-    }
-
     /// The parent cuboids (one attribute removed), allocation-free.
     #[inline]
     pub fn parents_iter(self) -> impl Iterator<Item = Cuboid> + Clone {
         self.attrs_iter()
             .map(move |a| Cuboid(self.0 & !(1 << a.index())))
-    }
-
-    /// The child cuboids (one attribute added).
-    ///
-    /// `Vec` shim over [`children_iter`](Self::children_iter).
-    pub fn children(self) -> Vec<Cuboid> {
-        self.children_iter().collect()
     }
 
     /// The child cuboids (one attribute added), allocation-free.
@@ -126,13 +104,15 @@ mod tests {
     fn lattice_navigation() {
         let c = Cuboid(0b0011); // age + gender
         assert_eq!(c.dimensionality(), 2);
-        assert_eq!(c.parents().len(), 2);
-        assert_eq!(c.children().len(), 2);
-        for p in c.parents() {
+        let parents: Vec<Cuboid> = c.parents_iter().collect();
+        let children: Vec<Cuboid> = c.children_iter().collect();
+        assert_eq!(parents.len(), 2);
+        assert_eq!(children.len(), 2);
+        for p in parents {
             assert_eq!(p.dimensionality(), 1);
         }
-        assert_eq!(Cuboid::APEX.parents().len(), 0);
-        assert_eq!(Cuboid::BASE.children().len(), 0);
+        assert_eq!(Cuboid::APEX.parents_iter().collect::<Vec<_>>().len(), 0);
+        assert_eq!(Cuboid::BASE.children_iter().collect::<Vec<_>>().len(), 0);
     }
 
     #[test]
@@ -146,7 +126,7 @@ mod tests {
     #[test]
     fn attrs_align_with_mask() {
         let c = Cuboid(0b1010);
-        let attrs = c.attrs();
+        let attrs: Vec<UserAttr> = c.attrs_iter().collect();
         assert_eq!(attrs.len(), 2);
         assert!(attrs.contains(&UserAttr::Gender));
         assert!(attrs.contains(&UserAttr::State));
@@ -154,11 +134,27 @@ mod tests {
 
     #[test]
     fn iterator_forms_agree_with_vec_shims() {
+        // Reference lists enumerate all 16 masks: parents are the
+        // one-bit-smaller subsets (removing the lowest attribute first
+        // gives the largest mask), children the one-bit-larger supersets.
         for mask in 0u8..16 {
             let c = Cuboid(mask);
-            assert_eq!(c.attrs_iter().collect::<Vec<_>>(), c.attrs());
-            assert_eq!(c.parents_iter().collect::<Vec<_>>(), c.parents());
-            assert_eq!(c.children_iter().collect::<Vec<_>>(), c.children());
+            let attrs: Vec<UserAttr> = (0..4)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| UserAttr::ALL[i])
+                .collect();
+            let parents: Vec<Cuboid> = (0u8..16)
+                .rev()
+                .filter(|&m| m & mask == m && m.count_ones() + 1 == mask.count_ones())
+                .map(Cuboid)
+                .collect();
+            let children: Vec<Cuboid> = (0u8..16)
+                .filter(|&m| m & mask == mask && m.count_ones() == mask.count_ones() + 1)
+                .map(Cuboid)
+                .collect();
+            assert_eq!(c.attrs_iter().collect::<Vec<_>>(), attrs);
+            assert_eq!(c.parents_iter().collect::<Vec<_>>(), parents);
+            assert_eq!(c.children_iter().collect::<Vec<_>>(), children);
         }
     }
 }

@@ -29,6 +29,6 @@ pub mod oracle;
 
 pub use bitmap::Bitmap;
 pub use builder::{CandidateGroup, CubeOptions, RatingCube};
-pub use delta::{AppendDelta, ProfileSummary};
+pub use delta::ProfileSummary;
 pub use group::GroupDesc;
 pub use lattice::{attribute_subsets, Cuboid};

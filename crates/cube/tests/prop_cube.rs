@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn parent_laws(user in arb_user(), mask in 1u8..16) {
         let child = GroupDesc::project(&user, mask);
-        let parents = child.parents();
+        let parents: Vec<GroupDesc> = child.parents_iter().collect();
         prop_assert_eq!(parents.len(), child.arity());
         for p in &parents {
             prop_assert_eq!(p.arity() + 1, child.arity());

@@ -1,12 +1,9 @@
-//! Property-based equivalence of **delta cube maintenance** and a
-//! from-scratch rebuild, pinned to the retained naive oracle
-//! (`maprat_cube::oracle`): over random append sequences, the cube
-//! maintained by `ProfileSummary::append` + `build_reusing` (reusing the
-//! previous cube's cover chunks) is byte-for-byte the cube the naive
-//! builder produces over the concatenated universe — for both
-//! `require_geo` modes, every `max_arity` and any worker count. Partition
-//! merging (`ProfileSummary::merge`, the time slider's path) is pinned
-//! the same way.
+//! Property-based equivalence of **partition merging** and a
+//! from-scratch build, pinned to the retained naive oracle
+//! (`maprat_cube::oracle`): over random partitions of a universe, the
+//! cube built from `ProfileSummary::merge` of the per-partition scans
+//! (the time slider's path) is byte-for-byte the cube the naive builder
+//! produces over the concatenated universe.
 
 use maprat_cube::oracle::build_naive;
 use maprat_cube::{CubeOptions, ProfileSummary, RatingCube};
@@ -59,45 +56,6 @@ fn segments(idx: &[u32], fractions: &[f64]) -> Vec<Vec<u32>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random append sequence: cube maintained commit-by-commit with
-    /// chunk reuse ≡ naive oracle over the concatenated prefix, at every
-    /// intermediate commit, for 1 and N workers.
-    #[test]
-    fn delta_maintained_cube_matches_oracle(
-        ds in 0usize..3,
-        item_pick in 0usize..40,
-        min_support in 1usize..8,
-        require_geo in any::<bool>(),
-        max_arity in 1usize..5,
-        fractions in proptest::collection::vec(0.0f64..1.0, 1..4),
-        threads in 2usize..5,
-    ) {
-        let dataset = &datasets()[ds];
-        let item = &dataset.items()[item_pick % dataset.items().len()];
-        let idx: Vec<u32> = dataset.rating_range_for_item(item.id).collect();
-        let options = CubeOptions { min_support, require_geo, max_arity };
-        let segs = segments(&idx, &fractions);
-
-        let mut summary = ProfileSummary::scan(dataset, segs[0].clone());
-        let mut cube = summary.build(options.clone());
-        let mut prefix = segs[0].clone();
-        assert_cubes_identical(
-            &build_naive(dataset, prefix.clone(), options.clone()),
-            &cube,
-        );
-        for seg in &segs[1..] {
-            let (merged, delta) = summary.append(dataset, seg);
-            let single = merged.build_reusing(&delta, &cube, options.clone(), 1);
-            let many = merged.build_reusing(&delta, &cube, options.clone(), threads);
-            prefix.extend_from_slice(seg);
-            let naive = build_naive(dataset, prefix.clone(), options.clone());
-            assert_cubes_identical(&naive, &single);
-            assert_cubes_identical(&naive, &many);
-            summary = merged;
-            cube = single;
-        }
-    }
-
     /// Random partitioning: merging per-partition summaries (the time
     /// slider's path) mines the same cube as scanning the concatenation.
     #[test]
@@ -122,26 +80,29 @@ proptest! {
     }
 }
 
-/// Appending one rating at a time — the worst case for boundary-word
-/// folding (every commit lands mid-word) — stays oracle-identical.
+/// Merging one-rating partitions — the worst case for boundary-word
+/// folding (every part lands mid-word) — stays oracle-identical at every
+/// prefix.
 #[test]
-fn single_rating_appends_match_oracle() {
+fn single_rating_partitions_match_oracle() {
     let dataset = &datasets()[0];
     let item = &dataset.items()[0];
     let idx: Vec<u32> = dataset.rating_range_for_item(item.id).collect();
     let take = idx.len().min(70); // spans a 64-bit word boundary
+    assert!(take > 64, "the item must span a word boundary");
     let options = CubeOptions {
         min_support: 2,
         require_geo: false,
         max_arity: 4,
     };
-    let mut summary = ProfileSummary::scan(dataset, vec![idx[0]]);
-    let mut cube = summary.build(options.clone());
-    for (i, &ridx) in idx[1..take].iter().enumerate() {
-        let (merged, delta) = summary.append(dataset, &[ridx]);
-        cube = merged.build_reusing(&delta, &cube, options.clone(), 1);
-        let naive = build_naive(dataset, idx[..i + 2].to_vec(), options.clone());
-        assert_cubes_identical(&naive, &cube);
-        summary = merged;
+    let parts: Vec<ProfileSummary> = idx[..take]
+        .iter()
+        .map(|&ridx| ProfileSummary::scan(dataset, vec![ridx]))
+        .collect();
+    for end in 1..=take {
+        let merged = ProfileSummary::merge(parts[..end].iter());
+        assert_eq!(merged.universe(), end);
+        let naive = build_naive(dataset, idx[..end].to_vec(), options.clone());
+        assert_cubes_identical(&naive, &merged.build(options.clone()));
     }
 }

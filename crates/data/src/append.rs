@@ -1,13 +1,11 @@
-//! Live-append support: explicit id allocation, append batches and the
-//! rating-index remap produced by [`Dataset::with_appended`].
+//! Live-append support: explicit id allocation and the append batches
+//! merged by [`Dataset::with_appended`].
 //!
 //! The dataset keeps its ratings sorted by `(item, ts, user)`, so appending
 //! ratings to an existing item *inserts* into the middle of the dense rating
-//! column and shifts every later index. [`IndexRemap`] captures that shift
-//! exactly: retained cube state calls [`IndexRemap::remap_in_place`] after a
-//! commit so its `rating_idx` lists stay aligned with the new dataset, and
-//! in-flight readers keep their pinned `Arc<Dataset>` so old indexes stay
-//! valid against the snapshot they were resolved on.
+//! column and shifts every later index. A commit therefore produces a new
+//! dataset version; in-flight readers keep their pinned `Arc<Dataset>`, so
+//! the indexes they resolved stay valid against that version.
 //!
 //! [`Dataset::with_appended`]: crate::dataset::Dataset::with_appended
 
@@ -102,53 +100,6 @@ impl AppendBatch {
     }
 }
 
-/// Maps old-dataset rating indexes to their new-dataset positions after an
-/// append.
-///
-/// Internally this is the sorted list of *old* positions in front of which a
-/// new rating was spliced; an old index `o` moves to `o +` (number of
-/// splices at positions `≤ o`).
-#[derive(Debug, Clone, Default)]
-pub struct IndexRemap {
-    inserts: Vec<u32>,
-}
-
-impl IndexRemap {
-    pub(crate) fn from_inserts(inserts: Vec<u32>) -> Self {
-        debug_assert!(inserts.windows(2).all(|w| w[0] <= w[1]));
-        IndexRemap { inserts }
-    }
-
-    /// Number of ratings the append spliced in.
-    pub fn num_inserted(&self) -> usize {
-        self.inserts.len()
-    }
-
-    /// True when the append left every old index unchanged (all new
-    /// ratings landed strictly after the old column).
-    pub fn is_identity(&self) -> bool {
-        self.inserts.is_empty()
-    }
-
-    /// The new-dataset position of old rating index `old`.
-    #[inline]
-    pub fn remap(&self, old: u32) -> u32 {
-        old + self.inserts.partition_point(|&p| p <= old) as u32
-    }
-
-    /// Remaps a list of old indexes in place.
-    ///
-    /// Sorted inputs stay sorted: the map is strictly monotone.
-    pub fn remap_in_place(&self, idx: &mut [u32]) {
-        if self.is_identity() {
-            return;
-        }
-        for v in idx {
-            *v = self.remap(*v);
-        }
-    }
-}
-
 /// The outcome of [`Dataset::with_appended`]: the merged dataset plus the
 /// bookkeeping the serving layer needs to commit it.
 #[derive(Debug)]
@@ -158,10 +109,6 @@ pub struct AppendResult {
     /// Distinct items whose rating slices changed (plus brand-new items),
     /// sorted ascending — the partition-scoped cache invalidation key.
     pub changed_items: Vec<ItemId>,
-    /// New-dataset rating indexes of the appended ratings, ascending.
-    pub appended_idx: Vec<u32>,
-    /// Old-index → new-index translation for retained per-query state.
-    pub remap: IndexRemap,
 }
 
 #[cfg(test)]
@@ -230,21 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn remap_counts_inserts_at_or_before() {
-        let remap = IndexRemap::from_inserts(vec![0, 2, 2]);
-        // One splice before old 0, two before old 2.
-        assert_eq!(remap.remap(0), 1);
-        assert_eq!(remap.remap(1), 2);
-        assert_eq!(remap.remap(2), 5);
-        assert_eq!(remap.remap(3), 6);
-        let mut idx = vec![0, 1, 2, 3];
-        remap.remap_in_place(&mut idx);
-        assert_eq!(idx, vec![1, 2, 5, 6]);
-        assert!(!remap.is_identity());
-        assert!(IndexRemap::default().is_identity());
-    }
-
-    #[test]
     fn append_merges_and_remaps() {
         let d = base();
         let mut alloc = IdAllocator::for_dataset(&d);
@@ -263,11 +195,12 @@ mod tests {
 
         assert_eq!(out.dataset.num_ratings(), 5);
         assert_eq!(out.changed_items, vec![ItemId(0), ItemId(1)]);
-        assert_eq!(out.appended_idx, vec![1, 4]);
-        // Old indexes 0,1,2 → 0,2,3.
-        assert_eq!(out.remap.remap(0), 0);
-        assert_eq!(out.remap.remap(1), 2);
-        assert_eq!(out.remap.remap(2), 3);
+        // Old ratings 0,1,2 move to 0,2,3; the batch lands at 1 and 4.
+        let merged = out.dataset.ratings();
+        for (old, new) in [(0, 0), (1, 2), (2, 3)] {
+            assert_eq!(merged[new], d.ratings()[old]);
+        }
+        assert_eq!((merged[1].user, merged[4].user), (u2, u2));
         // The merged column is exactly what a from-scratch build produces.
         let mut b = DatasetBuilder::new();
         for u in out.dataset.users() {
@@ -287,12 +220,6 @@ mod tests {
             assert_eq!(
                 rebuilt.rating_range_for_item(item),
                 out.dataset.rating_range_for_item(item)
-            );
-        }
-        for user in [UserId(0), UserId(1), u2] {
-            assert_eq!(
-                rebuilt.rating_indexes_for_user(user),
-                out.dataset.rating_indexes_for_user(user)
             );
         }
     }
@@ -334,8 +261,9 @@ mod tests {
             Timestamp::from_ymd(2002, 1, 1),
         ));
         let out = d.with_appended(batch).unwrap();
-        assert!(out.remap.is_identity());
-        assert_eq!(out.appended_idx, vec![3]);
+        // Every old index keeps its rating; the new one lands at 3.
+        assert_eq!(&out.dataset.ratings()[..3], d.ratings());
+        assert_eq!(out.dataset.ratings()[3].ts, Timestamp::from_ymd(2002, 1, 1));
         assert_eq!(out.changed_items, vec![ItemId(1)]);
     }
 
@@ -353,7 +281,7 @@ mod tests {
             Timestamp::from_ymd(2001, 6, 1),
         ));
         let out = d.with_appended(batch).unwrap();
-        assert!(out.remap.is_identity());
+        assert_eq!(&out.dataset.ratings()[..3], d.ratings());
         assert_eq!(out.dataset.find_title("gamma"), Some(i2));
         assert_eq!(out.dataset.ratings_for_item(i2).len(), 1);
         assert_eq!(out.changed_items, vec![i2]);

@@ -2,11 +2,10 @@
 //!
 //! Ratings are stored in one contiguous column sorted by `(item, timestamp)`
 //! so that the ratings of an item — the input `R_I` of every mining task —
-//! are a contiguous slice reachable through a CSR offset table. A second CSR
-//! index maps users to their rating positions, and hash indexes resolve
-//! title and person lookups for the query language.
+//! are a contiguous slice reachable through a CSR offset table, and hash
+//! indexes resolve title and person lookups for the query language.
 
-use crate::append::{AppendBatch, AppendResult, IndexRemap};
+use crate::append::{AppendBatch, AppendResult};
 use crate::error::DataError;
 use crate::ids::{ItemId, PersonId, RatingIdx, UserId};
 use crate::item::{Item, Person, Role};
@@ -17,36 +16,16 @@ use crate::time::{TimeRange, Timestamp};
 use crate::user::User;
 use std::collections::HashMap;
 
-/// Builds the item CSR offsets and the user CSR (offsets + grouped rating
-/// indexes) over an already-sorted rating column.
-fn build_csr(
-    num_items: usize,
-    num_users: usize,
-    ratings: &[Rating],
-) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-    let mut item_offsets = vec![0u32; num_items + 1];
+/// Builds the item CSR offsets over an already-sorted rating column.
+fn build_item_offsets(num_items: usize, ratings: &[Rating]) -> Vec<u32> {
+    let mut offsets = vec![0u32; num_items + 1];
     for r in ratings {
-        item_offsets[r.item.index() + 1] += 1;
+        offsets[r.item.index() + 1] += 1;
     }
-    for i in 1..item_offsets.len() {
-        item_offsets[i] += item_offsets[i - 1];
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
     }
-
-    let mut user_offsets = vec![0u32; num_users + 1];
-    for r in ratings {
-        user_offsets[r.user.index() + 1] += 1;
-    }
-    for i in 1..user_offsets.len() {
-        user_offsets[i] += user_offsets[i - 1];
-    }
-    let mut cursor = user_offsets.clone();
-    let mut user_rating_idx = vec![0u32; ratings.len()];
-    for (idx, r) in ratings.iter().enumerate() {
-        let slot = cursor[r.user.index()];
-        user_rating_idx[slot as usize] = idx as u32;
-        cursor[r.user.index()] += 1;
-    }
-    (item_offsets, user_offsets, user_rating_idx)
+    offsets
 }
 
 /// `span` widened to take in every timestamp of `ratings`.
@@ -77,10 +56,6 @@ pub struct Dataset {
     rating_score_bins: Vec<u8>,
     /// CSR offsets: ratings of item `i` live at `ratings[item_offsets[i]..item_offsets[i+1]]`.
     item_offsets: Vec<u32>,
-    /// CSR offsets into `user_rating_idx`.
-    user_offsets: Vec<u32>,
-    /// Rating indexes grouped by user.
-    user_rating_idx: Vec<u32>,
     /// Earliest and latest rating timestamps, kept up to date by
     /// [`DatasetBuilder::build`] and [`Dataset::with_appended`].
     time_span: Option<(Timestamp, Timestamp)>,
@@ -175,13 +150,6 @@ impl Dataset {
         self.item_offsets[item.index()]..self.item_offsets[item.index() + 1]
     }
 
-    /// The rating indexes entered by a user.
-    pub fn rating_indexes_for_user(&self, user: UserId) -> &[u32] {
-        let lo = self.user_offsets[user.index()] as usize;
-        let hi = self.user_offsets[user.index() + 1] as usize;
-        &self.user_rating_idx[lo..hi]
-    }
-
     /// Resolves an exact title (case-insensitive).
     pub fn find_title(&self, title: &str) -> Option<ItemId> {
         self.title_index.get(&title.to_lowercase()).copied()
@@ -236,17 +204,15 @@ impl Dataset {
     /// Merges an append batch into a new immutable dataset.
     ///
     /// The rating column stays sorted by `(item, ts, user)` — new ratings
-    /// are spliced into place, with old ratings winning ties so retained
-    /// per-query state can be remapped deterministically. New users and
+    /// are spliced into place, with old ratings winning ties. New users and
     /// items must densely continue the existing id space (use
     /// [`crate::append::IdAllocator`]); existing packed reviewer codes are
     /// carried over byte-for-byte, and new positions pack their reviewer
     /// exactly as a from-scratch [`DatasetBuilder::build`] would, so the
     /// result is indistinguishable from a full reload of the merged data.
     ///
-    /// Returns the new dataset plus the bookkeeping a live commit needs:
-    /// which items changed (cache invalidation scope), where the new
-    /// ratings landed, and the old→new index remap for maintained cubes.
+    /// Returns the new dataset plus the items whose ratings changed (the
+    /// cache invalidation scope of a live commit).
     pub fn with_appended(&self, batch: AppendBatch) -> Result<AppendResult, DataError> {
         let AppendBatch {
             users: new_users,
@@ -318,8 +284,6 @@ impl Dataset {
         let mut ratings = Vec::with_capacity(old.len() + m);
         let mut rating_user_codes = Vec::with_capacity(old.len() + m);
         let mut rating_score_bins = Vec::with_capacity(old.len() + m);
-        let mut inserts = Vec::with_capacity(m);
-        let mut appended_idx = Vec::with_capacity(m);
         let mut changed: Vec<ItemId> = new_ratings.iter().map(|r| r.item).collect();
         let (mut i, mut j) = (0usize, 0usize);
         while i < old.len() || j < m {
@@ -331,10 +295,6 @@ impl Dataset {
                 });
             if take_new {
                 let n = new_ratings[j];
-                if i < old.len() {
-                    inserts.push(i as u32);
-                }
-                appended_idx.push(ratings.len() as u32);
                 rating_user_codes.push(PackedUserCode::pack(&users[n.user.index()]).get());
                 rating_score_bins.push(n.score.bucket() as u8);
                 ratings.push(n);
@@ -347,19 +307,13 @@ impl Dataset {
             }
         }
 
-        changed.sort_unstable();
-        changed.dedup();
         // Brand-new items count as changed even without ratings: catalogue
         // queries may now match them.
-        for it in &items[self.items.len()..] {
-            if changed.binary_search(&it.id).is_err() {
-                changed.push(it.id);
-            }
-        }
+        changed.extend(items[self.items.len()..].iter().map(|it| it.id));
         changed.sort_unstable();
+        changed.dedup();
 
-        let (item_offsets, user_offsets, user_rating_idx) =
-            build_csr(items.len(), users.len(), &ratings);
+        let item_offsets = build_item_offsets(items.len(), &ratings);
 
         let dataset = Dataset {
             users,
@@ -369,8 +323,6 @@ impl Dataset {
             rating_user_codes,
             rating_score_bins,
             item_offsets,
-            user_offsets,
-            user_rating_idx,
             time_span: widen_span(self.time_span, &new_ratings),
             title_index,
             person_index: self.person_index.clone(),
@@ -380,8 +332,6 @@ impl Dataset {
         Ok(AppendResult {
             dataset,
             changed_items: changed,
-            appended_idx,
-            remap: IndexRemap::from_inserts(inserts),
         })
     }
 
@@ -500,9 +450,7 @@ impl DatasetBuilder {
             .collect();
         let rating_score_bins: Vec<u8> = ratings.iter().map(|r| r.score.bucket() as u8).collect();
 
-        // CSR over items, and over users (counting sort of rating indexes).
-        let (item_offsets, user_offsets, user_rating_idx) =
-            build_csr(items.len(), users.len(), &ratings);
+        let item_offsets = build_item_offsets(items.len(), &ratings);
         let time_span = widen_span(None, &ratings);
 
         let title_index = items
@@ -533,8 +481,6 @@ impl DatasetBuilder {
             rating_user_codes,
             rating_score_bins,
             item_offsets,
-            user_offsets,
-            user_rating_idx,
             time_span,
             title_index,
             person_index,
@@ -609,17 +555,6 @@ mod tests {
         assert_eq!(toy.len(), 2);
         assert!(toy[0].ts <= toy[1].ts, "per-item slice time-ordered");
         assert_eq!(d.ratings_for_item(ItemId(1)).len(), 1);
-    }
-
-    #[test]
-    fn user_index_lists_all_their_ratings() {
-        let d = sample();
-        let idxs = d.rating_indexes_for_user(UserId(0));
-        assert_eq!(idxs.len(), 2);
-        for &i in idxs {
-            assert_eq!(d.ratings()[i as usize].user, UserId(0));
-        }
-        assert_eq!(d.rating_indexes_for_user(UserId(1)).len(), 1);
     }
 
     #[test]

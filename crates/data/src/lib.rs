@@ -9,8 +9,7 @@
 //!
 //! * strongly-typed identifiers and attribute domains ([`ids`], [`attrs`],
 //!   [`genre`], [`score`], [`time`]);
-//! * the columnar [`dataset::Dataset`] store with per-item and per-user
-//!   indexes;
+//! * the columnar [`dataset::Dataset`] store with per-item indexes;
 //! * a loader and writer for the on-disk MovieLens‑1M format ([`loader`],
 //!   [`writer`]);
 //! * a statistically faithful synthetic generator at MovieLens‑1M scale with
@@ -43,7 +42,7 @@ pub mod user;
 pub mod writer;
 pub mod zipcode;
 
-pub use append::{AppendBatch, AppendResult, IdAllocator, IndexRemap};
+pub use append::{AppendBatch, AppendResult, IdAllocator};
 pub use attrs::{AVPair, AgeGroup, AttrValue, Gender, Occupation, UsState, UserAttr};
 pub use dataset::{Dataset, DatasetBuilder};
 pub use error::DataError;

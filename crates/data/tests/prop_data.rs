@@ -1,9 +1,12 @@
 //! Property-based tests on the data substrate's invariants.
 
+use maprat_data::synth::{generate, SynthConfig};
 use maprat_data::{
-    zipcode, AgeGroup, Gender, Occupation, RatingStats, Score, TimeRange, Timestamp, UsState, Zip,
+    zipcode, AgeGroup, AppendBatch, Dataset, DatasetBuilder, Gender, Genre, GenreSet, IdAllocator,
+    Item, ItemId, Occupation, Rating, RatingStats, Score, TimeRange, Timestamp, UsState, Zip,
 };
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 proptest! {
     /// Civil calendar conversion round-trips over four decades of days.
@@ -118,5 +121,156 @@ proptest! {
         prop_assert_eq!(Occupation::from_movielens_code(occ.movielens_code()).unwrap(), occ);
         let gender = Gender::from_index(g).unwrap();
         prop_assert_eq!(Gender::from_letter(gender.letter()).unwrap(), gender);
+    }
+}
+
+/// A few shared base datasets: generation dominates the cost, so the
+/// cases below vary only the appended batch.
+fn base_datasets() -> &'static [Dataset] {
+    static DATASETS: OnceLock<Vec<Dataset>> = OnceLock::new();
+    DATASETS.get_or_init(|| {
+        [5u64, 71]
+            .into_iter()
+            .map(|seed| generate(&SynthConfig::tiny(seed)).unwrap())
+            .collect()
+    })
+}
+
+/// Turns generated `(kind, a, b, score, offset)` ops into an append batch
+/// over `dataset`: `kind` 0 splices into an existing item's time range
+/// (ties with an existing timestamp included), 1 appends past the
+/// dataset's last rating, 2 has a new reviewer rate an existing item and
+/// 3 rates a new item. New items that no op rates stay unrated. Ops that
+/// would repeat an `(item, ts, user)` key are dropped, so the sorted
+/// order of the merged column is unique.
+fn append_batch(
+    dataset: &Dataset,
+    new_users: usize,
+    new_items: usize,
+    ops: &[(u8, u32, u32, u8, i64)],
+) -> AppendBatch {
+    let mut alloc = IdAllocator::for_dataset(dataset);
+    let mut batch = AppendBatch::new();
+    for k in 0..new_users {
+        let mut user = dataset.users()[k * 7 % dataset.users().len()].clone();
+        user.id = alloc.alloc_user();
+        batch.users.push(user);
+    }
+    for k in 0..new_items {
+        let id = alloc.alloc_item();
+        let title = format!("Appended Feature {k}");
+        batch
+            .items
+            .push(Item::new(id, title, 2004, GenreSet::of([Genre::Drama])));
+    }
+    let (_, last) = dataset.time_span().expect("non-empty base");
+    let (users, items) = (dataset.users().len() as u32, dataset.items().len() as u32);
+    for &(kind, a, b, score, offset) in ops {
+        let (user, item, ts) = match kind {
+            0 => {
+                let item = ItemId(a % items);
+                let slice = dataset.ratings_for_item(item);
+                if slice.is_empty() {
+                    continue;
+                }
+                let anchor = slice[b as usize % slice.len()].ts;
+                (
+                    dataset.users()[(a ^ b) as usize % users as usize].id,
+                    item,
+                    Timestamp(anchor.0 + offset),
+                )
+            }
+            1 => (
+                dataset.users()[b as usize % users as usize].id,
+                ItemId(a % items),
+                Timestamp(last.0 + 1 + offset.abs()),
+            ),
+            2 if new_users > 0 => (
+                batch.users[b as usize % new_users].id,
+                ItemId(a % items),
+                Timestamp(last.0 - offset.abs() * 3_600),
+            ),
+            3 if new_items > 0 => (
+                dataset.users()[b as usize % users as usize].id,
+                batch.items[a as usize % new_items].id,
+                Timestamp(last.0 + offset),
+            ),
+            _ => continue,
+        };
+        let key = |r: &Rating| (r.item, r.ts, r.user) == (item, ts, user);
+        let in_base = item.0 < items && dataset.ratings_for_item(item).iter().any(&key);
+        if in_base || batch.ratings.iter().any(key) {
+            continue;
+        }
+        batch
+            .ratings
+            .push(Rating::new(user, item, Score::new(score).unwrap(), ts));
+    }
+    batch
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `with_appended` is indistinguishable from a `DatasetBuilder`
+    /// rebuild of the merged tables: same rating, packed-code and score
+    /// columns, item ranges, time span and title index — and it reports
+    /// exactly the items the batch rated or created as changed.
+    #[test]
+    fn with_appended_matches_rebuild(
+        ds in 0usize..2,
+        new_users in 0usize..3,
+        new_items in 0usize..3,
+        ops in proptest::collection::vec(
+            (0u8..4, any::<u32>(), any::<u32>(), 1u8..=5, -2i64..3),
+            0..24,
+        ),
+    ) {
+        let dataset = &base_datasets()[ds];
+        let batch = append_batch(dataset, new_users, new_items, &ops);
+
+        let mut builder = DatasetBuilder::new();
+        for u in dataset.users().iter().chain(&batch.users) {
+            builder.add_user(u.clone());
+        }
+        for it in dataset.items().iter().chain(&batch.items) {
+            builder.add_item(it.clone());
+        }
+        for p in dataset.persons() {
+            builder.add_person(p.clone());
+        }
+        for r in dataset.ratings().iter().chain(&batch.ratings) {
+            builder.add_rating(*r);
+        }
+        let rebuilt = builder.build().unwrap();
+
+        let mut changed: Vec<ItemId> = batch
+            .ratings
+            .iter()
+            .map(|r| r.item)
+            .chain(batch.items.iter().map(|it| it.id))
+            .collect();
+        changed.sort_unstable();
+        changed.dedup();
+        let new_titles: Vec<(String, ItemId)> =
+            batch.items.iter().map(|it| (it.title.clone(), it.id)).collect();
+
+        let out = dataset.with_appended(batch).unwrap();
+        let merged = &out.dataset;
+        prop_assert_eq!(merged.ratings(), rebuilt.ratings());
+        prop_assert_eq!(merged.rating_user_codes(), rebuilt.rating_user_codes());
+        prop_assert_eq!(merged.rating_score_bins(), rebuilt.rating_score_bins());
+        prop_assert_eq!(merged.items().len(), rebuilt.items().len());
+        for it in rebuilt.items() {
+            prop_assert_eq!(
+                merged.rating_range_for_item(it.id),
+                rebuilt.rating_range_for_item(it.id)
+            );
+        }
+        prop_assert_eq!(merged.time_span(), rebuilt.time_span());
+        for (title, id) in &new_titles {
+            prop_assert_eq!(merged.find_title(title), Some(*id));
+        }
+        prop_assert_eq!(&out.changed_items, &changed);
     }
 }

@@ -9,7 +9,7 @@
 //! explains keep the snapshot they pinned; cache invalidation stays
 //! scoped to the partitions the commit touched.
 //!
-//! A commit is four steps under one writer lock:
+//! A commit is three steps under one writer lock:
 //!
 //! 1. **resolve** — user/item specs become dense ids: existing ids are
 //!    bounds-checked, titles are looked up, and new entities are
@@ -17,19 +17,13 @@
 //!    the loader and subsetter use;
 //! 2. **append** — [`maprat_data::Dataset::with_appended`] splices the
 //!    batch into a new snapshot, repacking reviewer codes and score bins
-//!    for the new rows only, and reports the index remap plus the
-//!    changed items;
-//! 3. **maintain** — every [watched](IngestService::watch) cube is
-//!    delta-maintained: its retained [`maprat_cube::ProfileSummary`]
-//!    remaps its rating indexes, scans only the commit's matching
-//!    ratings, and rebuilds the cube reusing the previous cover chunks
-//!    ([`maprat_cube::ProfileSummary::build_reusing`]) — bit-identical
-//!    to a from-scratch rebuild, at a cost that scales with the batch;
-//! 4. **publish** — the engine hot-swaps to the new snapshot with
+//!    for the new rows only, and reports the changed items;
+//! 3. **publish** — the engine hot-swaps to the new snapshot with
 //!    partition-scoped cache invalidation, and the commit watermark
-//!    (month key + commit sequence) advances.
+//!    (month key + commit sequence) advances. The next explain of a
+//!    changed item rebuilds its cube from the new snapshot.
 //!
-//! With a write-ahead log attached ([`IngestService::with_wal`]) a fifth
+//! With a write-ahead log attached ([`IngestService::with_wal`]) a fourth
 //! step slots in between 1 and 2: the validated events are serialized to
 //! a CRC-framed, fsynced segment ([`wal`]) *before* the splice, so a
 //! crash at any point recovers — by deterministic replay — to a dataset

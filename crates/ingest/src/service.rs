@@ -3,15 +3,9 @@
 use crate::buffer::{IngestBuffer, ItemSpec, RatingEvent, UserSpec};
 use crate::wal::{Wal, WalRecord, WalStats};
 use crate::IngestError;
-use maprat_core::query::ItemQuery;
-use maprat_cube::{CubeOptions, ProfileSummary, RatingCube};
 use maprat_data::cities::city_for_zip;
-use maprat_data::{
-    AppendBatch, Dataset, IdAllocator, Item, ItemId, MonthKey, Rating, RatingIdx, User,
-};
+use maprat_data::{AppendBatch, Dataset, IdAllocator, Item, ItemId, MonthKey, Rating, User};
 use maprat_explore::MapRatEngine;
-use maprat_pool::num_threads;
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -46,22 +40,9 @@ pub struct CommitReceipt {
     pub invalidated: usize,
 }
 
-/// A cube kept incrementally up to date across commits: the retained
-/// counting-pass state plus the materialized cube, both in commit-major
-/// universe order.
-struct WatchedCube {
-    query: ItemQuery,
-    options: CubeOptions,
-    /// The matched item set, pinned at watch time.
-    items: HashSet<ItemId>,
-    summary: ProfileSummary,
-    cube: RatingCube,
-}
-
 struct IngestState {
     commit_seq: u64,
     watermark: Option<Watermark>,
-    watched: Vec<WatchedCube>,
     /// Attached write-ahead log, if durability is enabled. Living inside
     /// the writer lock means log order always equals commit order.
     wal: Option<Wal>,
@@ -100,7 +81,6 @@ impl IngestService {
             state: Mutex::new(IngestState {
                 commit_seq: 0,
                 watermark: None,
-                watched: Vec::new(),
                 wal: None,
                 replayed: 0,
             }),
@@ -186,54 +166,8 @@ impl IngestService {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Starts delta-maintaining the cube of `query` under `options`:
-    /// scans the query's current rating universe once, and from then on
-    /// every [`commit`](IngestService::commit) extends it with only the
-    /// commit's matching ratings, rebuilding the cube with cover-chunk
-    /// reuse. The matched item set is pinned at watch time.
-    pub fn watch(&self, query: &ItemQuery, options: CubeOptions) -> Result<(), IngestError> {
-        let mut state = self.lock_state();
-        let dataset = self.engine.dataset();
-        let items = query.items(&dataset);
-        if items.is_empty() {
-            return Err(IngestError::UnknownTitle(query.describe()));
-        }
-        let summary = ProfileSummary::scan(&dataset, query.rating_indexes(&dataset));
-        let cube = summary.build(options.clone());
-        state.watched.retain(|w| w.query != *query);
-        state.watched.push(WatchedCube {
-            query: query.clone(),
-            options,
-            items: items.into_iter().collect(),
-            summary,
-            cube,
-        });
-        Ok(())
-    }
-
-    /// The current delta-maintained cube of a watched query.
-    pub fn watched_cube(&self, query: &ItemQuery) -> Option<RatingCube> {
-        let state = self.lock_state();
-        state
-            .watched
-            .iter()
-            .find(|w| w.query == *query)
-            .map(|w| w.cube.clone())
-    }
-
-    /// The rating universe (dataset rating indexes, commit-major order)
-    /// of a watched query — what the maintained cube's covers index.
-    pub fn watched_universe(&self, query: &ItemQuery) -> Option<Vec<u32>> {
-        let state = self.lock_state();
-        state
-            .watched
-            .iter()
-            .find(|w| w.query == *query)
-            .map(|w| w.summary.rating_indexes().to_vec())
-    }
-
     /// Validates, appends and publishes a buffered batch (see the crate
-    /// docs for the four commit steps; with a WAL attached the batch is
+    /// docs for the three commit steps; with a WAL attached the batch is
     /// fsynced to the log before the splice). Returns what the commit did.
     pub fn commit(&self, buffer: IngestBuffer) -> Result<CommitReceipt, IngestError> {
         let events = buffer.into_events();
@@ -301,31 +235,9 @@ impl IngestService {
         }
 
         let appended = dataset.with_appended(batch)?;
-        let new_dataset = Arc::new(appended.dataset);
-
-        // Delta-maintain every watched cube: remap retained indexes past
-        // the splice, scan only this commit's matching ratings, rebuild
-        // reusing the previous cover chunks.
-        let threads = num_threads();
-        for w in &mut state.watched {
-            w.summary.remap_rating_indexes(&appended.remap);
-            let matching: Vec<u32> = appended
-                .appended_idx
-                .iter()
-                .copied()
-                .filter(|&idx| {
-                    let r = new_dataset.rating(RatingIdx(idx));
-                    w.items.contains(&r.item) && w.query.time.contains(r.ts)
-                })
-                .collect();
-            let (merged, delta) = w.summary.append(&new_dataset, &matching);
-            w.cube = merged.build_reusing(&delta, &w.cube, w.options.clone(), threads);
-            w.summary = merged;
-        }
-
         let invalidated = self
             .engine
-            .swap_dataset_scoped(Arc::clone(&new_dataset), &appended.changed_items);
+            .swap_dataset_scoped(Arc::new(appended.dataset), &appended.changed_items);
         maprat_faults::maybe_abort("ingest.commit.post-publish");
 
         state.commit_seq += 1;
@@ -591,53 +503,6 @@ mod tests {
         assert_eq!(dataset.ratings_for_item(id).len(), 2);
     }
 
-    #[test]
-    fn watched_cube_stays_bit_identical_to_scratch_rebuild() {
-        let svc = service();
-        let query = ItemQuery::title("Toy Story");
-        let options = CubeOptions {
-            min_support: 2,
-            require_geo: false,
-            max_arity: 4,
-        };
-        svc.watch(&query, options.clone()).unwrap();
-        for (seq, (score, month)) in [(4u8, 1u32), (1, 2), (5, 3)].into_iter().enumerate() {
-            let mut buffer = IngestBuffer::new();
-            buffer
-                .push(rating(
-                    new_user(94103 + month),
-                    ItemSpec::ByTitle("Toy Story".into()),
-                    score,
-                    (2004, month),
-                ))
-                .unwrap();
-            // Unrelated traffic in the same commit shifts the splice.
-            buffer
-                .push(rating(
-                    UserSpec::Existing(UserId(1)),
-                    ItemSpec::ByTitle("Jaws".into()),
-                    3,
-                    (2004, month),
-                ))
-                .unwrap();
-            let receipt = svc.commit(buffer).unwrap();
-            assert_eq!(receipt.seq as usize, seq + 1);
-
-            let maintained = svc.watched_cube(&query).unwrap();
-            let universe = svc.watched_universe(&query).unwrap();
-            let dataset = svc.engine().dataset();
-            let scratch = RatingCube::build(&dataset, universe, options.clone());
-            assert_eq!(maintained.rating_indexes(), scratch.rating_indexes());
-            assert_eq!(maintained.len(), scratch.len());
-            assert_eq!(maintained.total_stats(), scratch.total_stats());
-            for (a, b) in maintained.groups().iter().zip(scratch.groups()) {
-                assert_eq!(a.desc, b.desc);
-                assert_eq!(a.stats, b.stats, "{}", a.desc);
-                assert_eq!(a.cover, b.cover, "{}", a.desc);
-            }
-        }
-    }
-
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("maprat-svc-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -755,17 +620,5 @@ mod tests {
         assert_eq!(got.users().len(), want.users().len());
         std::fs::remove_dir_all(&wal_dir).unwrap();
         std::fs::remove_dir_all(&snap_dir).unwrap();
-    }
-
-    #[test]
-    fn watch_rejects_unknown_queries() {
-        let svc = service();
-        assert!(matches!(
-            svc.watch(&ItemQuery::title("No Such Movie"), CubeOptions::default()),
-            Err(IngestError::UnknownTitle(_))
-        ));
-        assert!(svc
-            .watched_cube(&ItemQuery::title("No Such Movie"))
-            .is_none());
     }
 }

@@ -4,10 +4,9 @@
 //! The API mirrors the Figure-1 front-end controls: query text + query
 //! type, max-groups / coverage settings, a time window, and per-group
 //! drill-down and statistics endpoints. Every `/api/v1/*` endpoint accepts
-//! the request as a `GET` query string (back-compatible with the legacy
-//! unversioned routes, which share the same parser) or as a `POST` JSON
-//! body in the canonical encoding of [`crate::api`]. Errors are always
-//! the structured [`ApiError`] JSON shape.
+//! the request as a `GET` query string or as a `POST` JSON body in the
+//! canonical encoding of [`crate::api`]. Errors are always the structured
+//! [`ApiError`] JSON shape.
 
 use crate::api::{
     self, ApiError, DetailResponse, DrillRequest, DrillResponse, ExplainResponse, RelatedDto,
@@ -108,15 +107,14 @@ impl AppState {
                     .into_response()
             }
             "/" | "/index.html" => Response::html(html::INDEX.to_string()),
-            // Versioned API + legacy aliases (deprecated; same parser).
-            "/api/v1/explain" | "/api/explain" => self.explain_route(req),
+            "/api/v1/explain" => self.explain_route(req),
             "/api/v1/explain/batch" => self.explain_batch_route(req),
             "/api/v1/stats" => self.stats_route(req),
             "/api/v1/ingest" => self.ingest_route(req),
-            "/api/v1/timeline" | "/api/timeline" => self.timeline_route(req),
-            "/api/v1/drill" | "/api/drill" => self.drill_route(req),
-            "/api/v1/detail" | "/api/detail" => self.detail_route(req),
-            "/api/v1/personalize" | "/api/personalize" => self.personalize_route(req),
+            "/api/v1/timeline" => self.timeline_route(req),
+            "/api/v1/drill" => self.drill_route(req),
+            "/api/v1/detail" => self.detail_route(req),
+            "/api/v1/personalize" => self.personalize_route(req),
             "/map.svg" => self.map_route(req),
             "/citymap.svg" => self.citymap_route(req),
             path => ApiError::unknown_route(path).into_response(),
@@ -221,9 +219,9 @@ impl AppState {
     }
 
     /// `POST /api/v1/ingest` — commits a batch of live ratings: validates
-    /// them against the current snapshot, splices them in, delta-maintains
-    /// watched cubes, and hot-swaps the engine onto the new snapshot with
-    /// partition-scoped invalidation. Answers with the commit receipt.
+    /// them against the current snapshot, splices them in, and hot-swaps
+    /// the engine onto the new snapshot with partition-scoped
+    /// invalidation. Answers with the commit receipt.
     fn ingest_route(&self, req: &Request) -> Response {
         let Some(service) = &self.ingest else {
             return ApiError::not_found("ingestion is not enabled on this server")
@@ -700,12 +698,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_route_still_serves() {
+    fn legacy_route_is_unknown() {
         let s = server();
-        let (status, legacy) = get(s.port(), "/api/explain?q=Toy+Story&coverage=0.1&geo=0");
-        assert_eq!(status, 200, "{legacy}");
-        let (_, v1) = get(s.port(), "/api/v1/explain?q=Toy+Story&coverage=0.1&geo=0");
-        assert_eq!(legacy, v1, "legacy route is an alias of /api/v1");
+        for route in ["explain", "timeline", "drill", "detail", "personalize"] {
+            let (status, body) = get(s.port(), &format!("/api/{route}?q=Toy+Story&coverage=0.1"));
+            assert_eq!(status, 404, "{body}");
+            let v = Json::parse(&body).unwrap();
+            let code = v.get("error").unwrap().get("code").unwrap().as_str();
+            assert_eq!(code, Some("unknown_route"), "{body}");
+        }
+        let (status, _) = get(s.port(), "/api/v1/explain?q=Toy+Story&coverage=0.1&geo=0");
+        assert_eq!(status, 200);
     }
 
     #[test]

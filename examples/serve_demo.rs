@@ -24,8 +24,8 @@
 //!
 //! `--smoke` binds an ephemeral port, exercises `/api/v1/explain` through
 //! the full stack via both transports — a GET query string and a POST
-//! JSON body — checks they answer identically (and that the deprecated
-//! unversioned route still aliases v1), verifies the `X-MapRat-Cache`
+//! JSON body — checks they answer identically (and that the removed
+//! unversioned route answers `404 unknown_route`), verifies the `X-MapRat-Cache`
 //! header flips from `miss` to `hit`, commits a live rating through
 //! `/api/v1/ingest` and confirms the watermark lands in `/api/v1/stats`
 //! alongside the serving counters, prints the verdict and exits. Used by
@@ -185,16 +185,16 @@ fn main() {
             "GET and POST must answer identically"
         );
 
-        // The deprecated unversioned route still aliases v1.
+        // The unversioned routes are gone: only /api/v1 serves.
         let legacy_reply = http_get(
             server.port(),
             "/api/explain?q=The+Social+Network&coverage=0.1&geo=0",
         )
         .expect("legacy route reachable");
-        assert_eq!(
-            body_of(&get_reply),
-            body_of(&legacy_reply),
-            "legacy /api/explain must alias /api/v1/explain"
+        assert!(
+            legacy_reply.starts_with("HTTP/1.1 404")
+                && body_of(&legacy_reply).contains("\"unknown_route\""),
+            "legacy /api/explain must answer 404 unknown_route: {legacy_reply}"
         );
 
         // Live ingestion: a fresh reviewer rates a catalogue title, and

@@ -191,20 +191,18 @@ fn explain_labels_cache_tier_in_header() {
 }
 
 #[test]
-fn unversioned_routes_alias_v1() {
+fn unversioned_routes_are_unknown() {
     let server = HttpServer::start(
         "127.0.0.1:0",
         2,
         AppState::new(MapRatEngine::new(dataset())).into_handler(),
     )
     .unwrap();
-    let (s1, legacy) = get(server.port(), "/api/explain?q=Toy+Story&coverage=0.1&geo=0");
-    let (s2, v1) = get(
-        server.port(),
-        "/api/v1/explain?q=Toy+Story&coverage=0.1&geo=0",
-    );
-    assert_eq!((s1, s2), (200, 200));
-    assert_eq!(legacy, v1);
+    let (status, body) = get(server.port(), "/api/explain?q=Toy+Story&coverage=0.1&geo=0");
+    assert_eq!(status, 404);
+    let err = maprat::server::ApiError::from_json(&Json::parse(&body).unwrap()).unwrap();
+    assert_eq!(err.code, "unknown_route");
+    assert!(err.message.contains("/api/explain"), "{}", err.message);
 }
 
 #[test]
