@@ -261,8 +261,7 @@ impl StratumMoments {
         for (i, s) in sample.strata.iter().enumerate() {
             index[usize::from(s.code)] = i as u32;
         }
-        let codes = dataset.rating_user_codes();
-        let ratings = dataset.ratings();
+        let mut cursor = dataset.cursor();
         let k = sample.strata.len();
         let mut moments = StratumMoments {
             n: vec![0; k],
@@ -270,8 +269,9 @@ impl StratumMoments {
             m2: vec![0.0; k],
         };
         for &r in &sample.rating_idx {
-            let i = index[usize::from(codes[r as usize])] as usize;
-            let x = ratings[r as usize].score.as_f64();
+            let (chunk, at) = cursor.locate(r);
+            let i = index[usize::from(chunk.user_codes()[at])] as usize;
+            let x = chunk.ratings()[at].score.as_f64();
             moments.n[i] += 1;
             let delta = x - moments.mean[i];
             moments.mean[i] += delta / moments.n[i] as f64;

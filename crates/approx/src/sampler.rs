@@ -1,8 +1,8 @@
 //! Deterministic stratified sampling of `R_I` by packed base-cell profile.
 //!
 //! The reviewer schema is fully enumerable — every rating already carries
-//! its reviewer's 15-bit [`PackedUserCode`] in a dense column
-//! ([`Dataset::rating_user_codes`]) — so stratum assignment is a counting
+//! its reviewer's 15-bit [`PackedUserCode`] in a dense column of its item's
+//! chunk ([`maprat_data::RatingChunk::user_codes`]) — so stratum assignment is a counting
 //! pass, not a join: the stratum of a rating IS its packed demographic
 //! profile. Stratifying on the base cell means every nonempty demographic
 //! cell of `R_I` keeps at least one representative in the sample
@@ -32,7 +32,7 @@
 //! use maprat_data::synth::{generate, SynthConfig};
 //!
 //! let d = generate(&SynthConfig::tiny(7)).unwrap();
-//! let all: Vec<u32> = (0..d.ratings().len() as u32).collect();
+//! let all: Vec<u32> = (0..d.num_ratings() as u32).collect();
 //! let sample = StratifiedSampler::new(0.2, 42).sample(&d, &all);
 //! // Every nonempty stratum keeps at least one rating…
 //! assert!(sample.strata.iter().all(|s| s.sampled >= 1));
@@ -140,7 +140,6 @@ impl StratumCensus {
     /// Bit-identical for every `threads` value (fixed-size chunks merged
     /// in chunk order).
     pub fn over_with_threads(dataset: &Dataset, rating_idx: &[u32], threads: usize) -> Self {
-        let codes = dataset.rating_user_codes();
         let n = rating_idx.len();
         let chunks = n.div_ceil(CHUNK);
 
@@ -148,8 +147,10 @@ impl StratumCensus {
         // column (no user-table chasing).
         let chunk_counts: Vec<Vec<u32>> = parallel_map(chunks, threads, |c| {
             let mut counts = vec![0u32; STRATUM_SPACE];
+            let mut cursor = dataset.cursor();
             for &r in &rating_idx[c * CHUNK..((c + 1) * CHUNK).min(n)] {
-                counts[codes[r as usize] as usize] += 1;
+                let (chunk, at) = cursor.locate(r);
+                counts[usize::from(chunk.user_codes()[at])] += 1;
             }
             counts
         });
@@ -267,7 +268,6 @@ impl StratifiedSampler {
             rating_idx.len(),
             "census universe size must match the sampled universe"
         );
-        let codes = dataset.rating_user_codes();
         let n = rating_idx.len();
         if n == 0 {
             return StratifiedSample {
@@ -315,8 +315,10 @@ impl StratifiedSampler {
                     % u128::from(population[s])) as u64;
             }
             let mut out = Vec::with_capacity((hi - lo) / 8 + 16);
+            let mut cursor = dataset.cursor();
             for &r in &rating_idx[lo..hi] {
-                let s = codes[r as usize] as usize;
+                let (chunk, at) = cursor.locate(r);
+                let s = usize::from(chunk.user_codes()[at]);
                 let next = rem[s] + u64::from(alloc[s]);
                 if next >= u64::from(population[s]) {
                     rem[s] = next - u64::from(population[s]);
@@ -377,7 +379,15 @@ mod tests {
     }
 
     fn full_universe(d: &Dataset) -> Vec<u32> {
-        (0..d.ratings().len() as u32).collect()
+        (0..d.num_ratings() as u32).collect()
+    }
+
+    /// Every rating's packed code, in rating-index order.
+    fn flat_codes(d: &Dataset) -> Vec<u16> {
+        d.items()
+            .iter()
+            .flat_map(|it| d.chunk(it.id).user_codes().iter().copied())
+            .collect()
     }
 
     #[test]
@@ -390,7 +400,7 @@ mod tests {
         // Subset, strictly increasing (input order preserved).
         assert!(s.rating_idx.windows(2).all(|w| w[0] < w[1]));
         // Per-stratum counts in the output match the declared allocations.
-        let codes = d.rating_user_codes();
+        let codes = flat_codes(&d);
         let mut got = vec![0u32; STRATUM_SPACE];
         for &r in &s.rating_idx {
             got[codes[r as usize] as usize] += 1;
@@ -481,7 +491,7 @@ mod tests {
         let d = dataset();
         let idx = full_universe(&d);
         let s = StratifiedSampler::new(0.2, 8).sample(&d, &idx);
-        let codes = d.rating_user_codes();
+        let codes = flat_codes(&d);
         use maprat_data::UserAttr;
         let pred = |c: PackedUserCode| c.field(UserAttr::Gender) == 0;
         let by_census = s.population_where(pred);
@@ -495,7 +505,7 @@ mod tests {
     #[test]
     fn subset_of_universe_strata_shrink() {
         let d = dataset();
-        let idx: Vec<u32> = (0..d.ratings().len() as u32).step_by(3).collect();
+        let idx: Vec<u32> = (0..d.num_ratings() as u32).step_by(3).collect();
         let s = StratifiedSampler::new(0.25, 4).sample(&d, &idx);
         assert_eq!(s.population, idx.len());
         assert!(s.rating_idx.iter().all(|r| idx.contains(r)));

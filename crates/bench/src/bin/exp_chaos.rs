@@ -24,6 +24,7 @@
 //! [--max-regress R]` gates the latency-shaped keys against a committed
 //! snapshot.
 
+use maprat_bench::args::{unmatched_flag, usage_error, value};
 use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{ms, percentile, tail};
 use maprat_bench::{dataset_arc, Scale, ShapeCheck};
@@ -178,7 +179,7 @@ fn run_crash_cycle(tag: usize, faults: &str) -> CrashCycle {
     let query = ItemQuery::title("Toy Story");
     let a = service.engine().explain_query(&query, &settings);
     let b = oracle.engine().explain_query(&query, &settings);
-    let oracle_identical = recovered.ratings() == expected.ratings()
+    let oracle_identical = recovered.ratings().eq(expected.ratings())
         && recovered.users().len() == expected.users().len()
         && recovered.items().len() == expected.items().len()
         && match (&*a, &*b) {
@@ -282,6 +283,10 @@ fn run_overload(port: u16, clients: usize, per_client: usize, warm: &str) -> Ove
     outcome
 }
 
+const BIN: &str = "exp_chaos";
+const USAGE: &str = "usage: exp_chaos [--commits N] [--batch N] [--cycles N] [--check] \
+[--baseline committed.json [--max-regress R]] [out.json]";
+
 fn main() {
     // Child mode first: everything else in this binary must not run.
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -296,16 +301,19 @@ fn main() {
     let mut gate = GateArgs::new(0.5);
     let mut args = argv.into_iter();
     while let Some(arg) = args.next() {
-        if gate.accept(&arg, &mut args) {
+        if gate
+            .accept(&arg, &mut args)
+            .unwrap_or_else(|e| usage_error(BIN, &e))
+        {
             continue;
         }
         match arg.as_str() {
-            "--commits" => commits = args.next().and_then(|v| v.parse().ok()).unwrap_or(commits),
-            "--batch" => batch = args.next().and_then(|v| v.parse().ok()).unwrap_or(batch),
-            "--cycles" => cycles = args.next().and_then(|v| v.parse().ok()).unwrap_or(cycles),
+            "--commits" => commits = value(BIN, &arg, &mut args),
+            "--batch" => batch = value(BIN, &arg, &mut args),
+            "--cycles" => cycles = value(BIN, &arg, &mut args),
             "--check" => {}
             bare if !bare.starts_with("--") => out_path = bare.to_string(),
-            unknown => eprintln!("[exp_chaos] ignoring unknown flag {unknown}"),
+            flag => unmatched_flag(BIN, USAGE, flag),
         }
     }
     let commits = commits.max(1);

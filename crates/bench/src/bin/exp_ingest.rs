@@ -18,7 +18,13 @@
 //! gates the latency metrics against a committed snapshot (the CI
 //! perf-gate mode — throughput is machine-dependent, so only the
 //! latency-shaped keys are gated).
+//!
+//! `commit_copied_ratings_max` is the most ratings any one commit wrote
+//! into new rating chunks. It is a deterministic work counter: `--check`
+//! asserts that no commit copied more than the post-commit ratings of the
+//! items it touched, however large the dataset.
 
+use maprat_bench::args::{unmatched_flag, usage_error, value};
 use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{ms, percentile, tail};
 use maprat_bench::{dataset_arc, Scale, ShapeCheck};
@@ -99,6 +105,10 @@ fn run_reader(
     }
 }
 
+const BIN: &str = "exp_ingest";
+const USAGE: &str = "usage: exp_ingest [--commits N] [--batch N] [--readers N] [--check] \
+[--baseline committed.json [--max-regress R]] [out.json]";
+
 fn main() {
     let mut commits = 8usize;
     let mut batch = 64usize;
@@ -107,16 +117,19 @@ fn main() {
     let mut gate = GateArgs::new(0.25);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if gate.accept(&arg, &mut args) {
+        if gate
+            .accept(&arg, &mut args)
+            .unwrap_or_else(|e| usage_error(BIN, &e))
+        {
             continue;
         }
         match arg.as_str() {
-            "--commits" => commits = args.next().and_then(|v| v.parse().ok()).unwrap_or(commits),
-            "--batch" => batch = args.next().and_then(|v| v.parse().ok()).unwrap_or(batch),
-            "--readers" => readers = args.next().and_then(|v| v.parse().ok()).unwrap_or(readers),
+            "--commits" => commits = value(BIN, &arg, &mut args),
+            "--batch" => batch = value(BIN, &arg, &mut args),
+            "--readers" => readers = value(BIN, &arg, &mut args),
             "--check" => {}
             bare if !bare.starts_with("--") => out_path = bare.to_string(),
-            unknown => eprintln!("[exp_ingest] ignoring unknown flag {unknown}"),
+            flag => unmatched_flag(BIN, USAGE, flag),
         }
     }
     let commits = commits.max(1);
@@ -155,12 +168,25 @@ fn main() {
         .collect();
     let commit_start = Instant::now();
     let mut commit_latencies = Vec::with_capacity(commits);
+    let mut copied_max = 0usize;
+    let mut copies_only_touched_items = true;
     for c in 0..commits {
         let buffer = commit_buffer(c, batch);
         let start = Instant::now();
         let receipt = service.commit(buffer).expect("commit succeeds");
         commit_latencies.push(start.elapsed());
         assert_eq!(receipt.accepted, batch);
+        // The committer is the only writer, so the served snapshot is the
+        // one this commit made: a commit may copy at most the ratings of
+        // the items it touched, never the whole dataset.
+        let snapshot = service.engine().dataset();
+        let touched: usize = receipt
+            .changed_items
+            .iter()
+            .map(|&item| snapshot.ratings_for_item(item).len())
+            .sum();
+        copies_only_touched_items &= receipt.copied_ratings <= touched;
+        copied_max = copied_max.max(receipt.copied_ratings);
     }
     let commit_wall = commit_start.elapsed();
     done.store(true, Ordering::SeqCst);
@@ -190,6 +216,10 @@ fn main() {
         ms(commit_tail.p95)
     );
     println!(
+        "commit_copied_ratings_max:   {copied_max} of {} ratings",
+        service.engine().dataset().num_ratings()
+    );
+    println!(
         "cold explain (quiet):        n={:<4} p50={:>9} ms  p95={:>9} ms",
         quiet.len(),
         ms(quiet_tail.p50),
@@ -216,6 +246,7 @@ fn main() {
     let _ = writeln!(json, "  \"ingest_ratings_per_sec\": {ratings_per_sec:.2},");
     let _ = writeln!(json, "  \"commit_p50_ms\": {},", ms(commit_tail.p50));
     let _ = writeln!(json, "  \"commit_p95_ms\": {},", ms(commit_tail.p95));
+    let _ = writeln!(json, "  \"commit_copied_ratings_max\": {copied_max},");
     let _ = writeln!(json, "  \"explain_quiet_p50_ms\": {},", ms(quiet_tail.p50));
     let _ = writeln!(json, "  \"explain_quiet_p95_ms\": {},", ms(quiet_tail.p95));
     let _ = writeln!(
@@ -246,6 +277,10 @@ fn main() {
     check.expect(
         "every commit landed in the served snapshot",
         final_dataset.num_ratings() == base_ratings + ingested,
+    );
+    check.expect(
+        "no commit copied more than the ratings of the items it touched",
+        copies_only_touched_items,
     );
     check.expect(
         "watermark advanced to the last commit",

@@ -24,6 +24,7 @@
 //! `explain_snapshot_hit_ms` (solve-only re-mining off the snapshot
 //! tier) for the materialization and serving trajectories.
 
+use maprat_bench::args::{unmatched_flag, usage_error};
 use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{summarize, time_n, time_once};
 use maprat_bench::{dataset, dataset_arc, Scale};
@@ -47,17 +48,24 @@ const GATED_KEYS: [&str; 5] = [
     "explain_coalesced_p99_ms",
 ];
 
+const BIN: &str = "exp_perf_snapshot";
+const USAGE: &str =
+    "usage: exp_perf_snapshot [out.json] [--baseline committed.json [--max-regress R]]";
+
 fn main() {
     let mut out_path: Option<String> = None;
     let mut gate = GateArgs::new(0.25);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if gate.accept(&arg, &mut args) {
+        if gate
+            .accept(&arg, &mut args)
+            .unwrap_or_else(|e| usage_error(BIN, &e))
+        {
             continue;
         }
         match arg.as_str() {
             bare if !bare.starts_with("--") => out_path = Some(bare.to_string()),
-            unknown => eprintln!("[exp_perf_snapshot] ignoring unknown flag {unknown}"),
+            flag => unmatched_flag(BIN, USAGE, flag),
         }
     }
     let out_path = out_path.unwrap_or_else(|| "BENCH_head.json".to_string());

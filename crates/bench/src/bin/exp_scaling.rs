@@ -22,6 +22,7 @@
 //! local run can never clobber what the gate compares against).
 
 use maprat_approx::{ApproxInfo, StratifiedSampler, DEFAULT_CONFIDENCE};
+use maprat_bench::args::{unmatched_flag, usage_error};
 use maprat_bench::gate::GateArgs;
 use maprat_bench::timing::{ms, time_once};
 use maprat_bench::{dataset, table::Table, Scale, ShapeCheck};
@@ -50,12 +51,19 @@ struct CrossoverRow {
     exhaustive: bool,
 }
 
+const BIN: &str = "exp_scaling";
+const USAGE: &str = "usage: exp_scaling [out.json] [--check] [--scale tiny|small|full|huge] \
+[--baseline committed.json [--max-regress R]]";
+
 fn main() {
     let mut out_path: Option<String> = None;
     let mut gate = GateArgs::new(0.5);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if gate.accept(&arg, &mut args) {
+        if gate
+            .accept(&arg, &mut args)
+            .unwrap_or_else(|e| usage_error(BIN, &e))
+        {
             continue;
         }
         match arg.as_str() {
@@ -64,7 +72,7 @@ fn main() {
             }
             "--check" => {} // read by check_mode
             bare if !bare.starts_with("--") => out_path = Some(bare.to_string()),
-            unknown => eprintln!("[exp_scaling] ignoring unknown flag {unknown}"),
+            flag => unmatched_flag(BIN, USAGE, flag),
         }
     }
     let out_path = out_path.unwrap_or_else(|| "BENCH_scaling_head.json".to_string());

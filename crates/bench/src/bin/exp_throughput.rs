@@ -22,6 +22,7 @@
 //! each client's connection reused throughout) and exits non-zero on
 //! violation — the CI smoke mode.
 
+use maprat_bench::args::{unmatched_flag, value};
 use maprat_bench::timing::{ms, percentile, tail};
 use maprat_bench::{dataset_arc, Scale, ShapeCheck};
 use maprat_core::parallel;
@@ -241,6 +242,10 @@ fn tail_line(label: &str, sorted: &[Duration]) -> String {
     )
 }
 
+const BIN: &str = "exp_throughput";
+const USAGE: &str =
+    "usage: exp_throughput [--clients N] [--requests N] [--cached-every K] [--check] [out.json]";
+
 fn main() {
     let mut clients = 4usize;
     let mut requests = 32usize;
@@ -249,17 +254,12 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--clients" => clients = args.next().and_then(|v| v.parse().ok()).unwrap_or(clients),
-            "--requests" => requests = args.next().and_then(|v| v.parse().ok()).unwrap_or(requests),
-            "--cached-every" => {
-                cached_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cached_every)
-            }
+            "--clients" => clients = value(BIN, &arg, &mut args),
+            "--requests" => requests = value(BIN, &arg, &mut args),
+            "--cached-every" => cached_every = value(BIN, &arg, &mut args),
             "--check" => {}
             bare if !bare.starts_with("--") => out_path = bare.to_string(),
-            unknown => eprintln!("[exp_throughput] ignoring unknown flag {unknown}"),
+            flag => unmatched_flag(BIN, USAGE, flag),
         }
     }
     let clients = clients.max(1);

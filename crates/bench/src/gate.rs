@@ -7,6 +7,7 @@
 //! +25%). Improvements never fail the gate, and a key the baseline does
 //! not carry is skipped.
 
+use crate::args::parse_value;
 use maprat_server::Json;
 
 /// The gate's command-line state: `--baseline <path>` and
@@ -30,20 +31,19 @@ impl GateArgs {
     }
 
     /// Consumes `arg` — and its value from `rest` — if it is one of the
-    /// gate's flags. Returns whether it was. An unparsable
-    /// `--max-regress` value keeps the current tolerance.
-    pub fn accept(&mut self, arg: &str, rest: &mut impl Iterator<Item = String>) -> bool {
+    /// gate's flags. Returns whether it was, or an error naming the flag
+    /// when its value is missing or, for `--max-regress`, not a number.
+    pub fn accept(
+        &mut self,
+        arg: &str,
+        rest: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
         match arg {
-            "--baseline" => self.baseline = rest.next(),
-            "--max-regress" => {
-                self.max_regress = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(self.max_regress)
-            }
-            _ => return false,
+            "--baseline" => self.baseline = Some(parse_value(arg, rest.next())?),
+            "--max-regress" => self.max_regress = parse_value(arg, rest.next())?,
+            _ => return Ok(false),
         }
-        true
+        Ok(true)
     }
 
     /// Runs the gate when a baseline was given: prints one line per key
@@ -140,16 +140,26 @@ mod tests {
     fn accept_consumes_only_gate_flags() {
         let mut gate = GateArgs::new(0.25);
         let mut rest = ["base.json".to_string(), "0.5".to_string()].into_iter();
-        assert!(gate.accept("--baseline", &mut rest));
-        assert!(gate.accept("--max-regress", &mut rest));
-        assert!(!gate.accept("--check", &mut rest));
+        assert_eq!(gate.accept("--baseline", &mut rest), Ok(true));
+        assert_eq!(gate.accept("--max-regress", &mut rest), Ok(true));
+        assert_eq!(gate.accept("--check", &mut rest), Ok(false));
         assert_eq!(gate.baseline.as_deref(), Some("base.json"));
         assert_eq!(gate.max_regress, 0.5);
+    }
+
+    #[test]
+    fn accept_rejects_bad_or_missing_values() {
+        let mut gate = GateArgs::new(0.25);
         let mut bad = ["fast".to_string()].into_iter();
-        assert!(gate.accept("--max-regress", &mut bad));
-        assert_eq!(
-            gate.max_regress, 0.5,
-            "unparsable value keeps the tolerance"
+        let err = gate.accept("--max-regress", &mut bad).unwrap_err();
+        assert!(
+            err.contains("--max-regress") && err.contains("fast"),
+            "{err}"
         );
+        assert_eq!(gate.max_regress, 0.25, "a rejected value sets nothing");
+        let mut empty = std::iter::empty();
+        assert!(gate.accept("--max-regress", &mut empty).is_err());
+        assert!(gate.accept("--baseline", &mut empty).is_err());
+        assert_eq!(gate.baseline, None);
     }
 }

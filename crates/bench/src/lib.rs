@@ -11,6 +11,7 @@
 
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod gate;
 pub mod table;
 pub mod timing;

@@ -201,12 +201,13 @@ impl ItemQuery {
             if self.time.is_unrestricted() {
                 out.extend(range);
             } else {
-                for idx in range {
-                    let r = &dataset.ratings()[idx as usize];
-                    if self.time.contains(r.ts) {
-                        out.push(idx);
-                    }
-                }
+                let ratings = dataset.ratings_for_item(item);
+                out.extend(
+                    range
+                        .zip(ratings)
+                        .filter(|(_, r)| self.time.contains(r.ts))
+                        .map(|(idx, _)| idx),
+                );
             }
         }
         out
@@ -242,7 +243,7 @@ impl fmt::Display for ItemQuery {
 mod tests {
     use super::*;
     use maprat_data::synth::{generate, SynthConfig};
-    use maprat_data::Timestamp;
+    use maprat_data::{RatingIdx, Timestamp};
 
     fn dataset() -> Dataset {
         generate(&SynthConfig::tiny(41)).unwrap()
@@ -320,7 +321,7 @@ mod tests {
         assert!(half.len() < all.len());
         assert!(!half.is_empty());
         for idx in &half {
-            assert!(d.ratings()[*idx as usize].ts < Timestamp::from_ymd(2001, 9, 1));
+            assert!(d.rating(RatingIdx(*idx)).ts < Timestamp::from_ymd(2001, 9, 1));
         }
     }
 

@@ -22,7 +22,7 @@ use crate::builder::{
 };
 use crate::group::GroupDesc;
 use crate::lattice::{attribute_subsets, geo_cuboids, Cuboid};
-use maprat_data::{Dataset, RatingIdx, RatingStats};
+use maprat_data::{Dataset, RatingStats};
 use maprat_pool::num_threads;
 
 /// The retained counting-pass state of one rating universe: its distinct
@@ -75,22 +75,29 @@ fn push_word(word_idx: &mut Vec<u32>, word_bits: &mut Vec<u64>, floor: usize, w:
 
 impl ProfileSummary {
     /// Runs the counting pass over a rating universe: gathers the packed
-    /// code/score columns, counting-sorts positions by distinct reviewer
+    /// code/score columns through a forward
+    /// [`RatingCursor`](maprat_data::RatingCursor) over the
+    /// dataset's per-item chunks, counting-sorts positions by distinct reviewer
     /// profile, and materializes per-profile histograms and sparse cover
     /// word patterns. This is byte-for-byte the scratch builder's first
     /// pass ([`CubePlan::prepare`] delegates here).
     pub fn scan(dataset: &Dataset, rating_idx: Vec<u32>) -> ProfileSummary {
-        let all_codes = dataset.rating_user_codes();
-        let all_bins = dataset.rating_score_bins();
+        let mut cursor = dataset.cursor();
         let mut codes: Vec<u16> = Vec::with_capacity(rating_idx.len());
         let mut bins: Vec<u8> = Vec::with_capacity(rating_idx.len());
         let mut total_hist = [0u64; 5];
-        for &ridx in &rating_idx {
-            let i = RatingIdx(ridx).index();
-            codes.push(all_codes[i]);
-            let bin = all_bins[i];
-            bins.push(bin);
-            total_hist[usize::from(bin)] += 1;
+        let mut rest = rating_idx.as_slice();
+        while !rest.is_empty() {
+            let (chunk, start, n) = cursor.run(rest);
+            let (chunk_codes, chunk_bins) = (chunk.user_codes(), chunk.score_bins());
+            for &ridx in &rest[..n] {
+                let at = (ridx - start) as usize;
+                codes.push(chunk_codes[at]);
+                let bin = chunk_bins[at];
+                bins.push(bin);
+                total_hist[usize::from(bin)] += 1;
+            }
+            rest = &rest[n..];
         }
         let universe = codes.len();
 

@@ -30,8 +30,11 @@ pub fn drill_to_cities(
     let state: UsState = group.desc.state()?;
     let table = cities::cities(state);
     let mut per_city: Vec<RatingStats> = vec![RatingStats::new(); table.len()];
+    // Cover positions ascend, so the cursor walks the universe's per-item
+    // runs forward.
+    let mut cursor = dataset.cursor();
     for pos in group.cover.iter() {
-        let rating = dataset.rating(cube.rating_index_at(pos));
+        let rating = cursor.rating(cube.rating_index_at(pos));
         let user = dataset.user(rating.user);
         debug_assert_eq!(user.state, state, "cover member outside geo condition");
         per_city[usize::from(user.city).min(table.len() - 1)].push(rating.score);

@@ -36,8 +36,9 @@ pub fn build_naive(dataset: &Dataset, rating_idx: Vec<u32>, options: CubeOptions
 
     let mut cells: HashMap<GroupDesc, (RatingStats, Vec<u32>)> = HashMap::new();
     let mut total = RatingStats::new();
+    let mut cursor = dataset.cursor();
     for (pos, &ridx) in rating_idx.iter().enumerate() {
-        let rating = dataset.rating(RatingIdx(ridx));
+        let rating = cursor.rating(RatingIdx(ridx));
         let user = dataset.user(rating.user);
         total.push(rating.score);
         for &cuboid in &cuboids {

@@ -18,7 +18,7 @@ use maprat_data::synth::{generate, SynthConfig};
 #[ignore = "slow: generates a 10M-rating dataset and builds its full cube; exercised by scheduled CI"]
 fn hybrid_covers_cut_cover_bytes_at_huge_scale() {
     let d = generate(&SynthConfig::huge(23)).expect("generate huge dataset");
-    let universe: Vec<u32> = (0..d.ratings().len() as u32).collect();
+    let universe: Vec<u32> = (0..d.num_ratings() as u32).collect();
     let n = universe.len();
     let cube = RatingCube::build(
         &d,

@@ -2,10 +2,12 @@
 //! merged by [`Dataset::with_appended`].
 //!
 //! The dataset keeps its ratings sorted by `(item, ts, user)`, so appending
-//! ratings to an existing item *inserts* into the middle of the dense rating
-//! column and shifts every later index. A commit therefore produces a new
-//! dataset version; in-flight readers keep their pinned `Arc<Dataset>`, so
-//! the indexes they resolved stay valid against that version.
+//! ratings to an existing item *inserts* into the middle of the global
+//! rating order and shifts every later index. A commit therefore produces a
+//! new dataset version; in-flight readers keep their pinned `Arc<Dataset>`,
+//! so the indexes they resolved stay valid against that version. The new
+//! version rebuilds only the chunks of the items the batch rated and shares
+//! the rest with its parent.
 //!
 //! [`Dataset::with_appended`]: crate::dataset::Dataset::with_appended
 
@@ -109,6 +111,9 @@ pub struct AppendResult {
     /// Distinct items whose rating slices changed (plus brand-new items),
     /// sorted ascending — the partition-scoped cache invalidation key.
     pub changed_items: Vec<ItemId>,
+    /// Ratings written into rebuilt chunks: the post-commit rating counts
+    /// of the rated items. Every other rating is shared with the parent.
+    pub copied_ratings: usize,
 }
 
 #[cfg(test)]
@@ -195,10 +200,12 @@ mod tests {
 
         assert_eq!(out.dataset.num_ratings(), 5);
         assert_eq!(out.changed_items, vec![ItemId(0), ItemId(1)]);
+        assert_eq!(out.copied_ratings, 5, "both items' chunks were rebuilt");
         // Old ratings 0,1,2 move to 0,2,3; the batch lands at 1 and 4.
-        let merged = out.dataset.ratings();
-        for (old, new) in [(0, 0), (1, 2), (2, 3)] {
-            assert_eq!(merged[new], d.ratings()[old]);
+        let merged: Vec<Rating> = out.dataset.ratings().copied().collect();
+        let old: Vec<Rating> = d.ratings().copied().collect();
+        for (o, n) in [(0, 0), (1, 2), (2, 3)] {
+            assert_eq!(merged[n], old[o]);
         }
         assert_eq!((merged[1].user, merged[4].user), (u2, u2));
         // The merged column is exactly what a from-scratch build produces.
@@ -213,10 +220,9 @@ mod tests {
             b.add_rating(*r);
         }
         let rebuilt = b.build().unwrap();
-        assert_eq!(rebuilt.ratings(), out.dataset.ratings());
-        assert_eq!(rebuilt.rating_user_codes(), out.dataset.rating_user_codes());
-        assert_eq!(rebuilt.rating_score_bins(), out.dataset.rating_score_bins());
+        assert!(rebuilt.ratings().eq(out.dataset.ratings()));
         for item in [ItemId(0), ItemId(1)] {
+            assert_eq!(**rebuilt.chunk(item), **out.dataset.chunk(item));
             assert_eq!(
                 rebuilt.rating_range_for_item(item),
                 out.dataset.rating_range_for_item(item)
@@ -262,9 +268,17 @@ mod tests {
         ));
         let out = d.with_appended(batch).unwrap();
         // Every old index keeps its rating; the new one lands at 3.
-        assert_eq!(&out.dataset.ratings()[..3], d.ratings());
-        assert_eq!(out.dataset.ratings()[3].ts, Timestamp::from_ymd(2002, 1, 1));
+        assert!(out.dataset.ratings().take(3).eq(d.ratings()));
+        assert_eq!(
+            out.dataset.rating(crate::ids::RatingIdx(3)).ts,
+            Timestamp::from_ymd(2002, 1, 1)
+        );
         assert_eq!(out.changed_items, vec![ItemId(1)]);
+        assert_eq!(out.copied_ratings, 2);
+        assert!(std::sync::Arc::ptr_eq(
+            out.dataset.chunk(ItemId(0)),
+            d.chunk(ItemId(0))
+        ));
     }
 
     #[test]
@@ -281,7 +295,7 @@ mod tests {
             Timestamp::from_ymd(2001, 6, 1),
         ));
         let out = d.with_appended(batch).unwrap();
-        assert_eq!(&out.dataset.ratings()[..3], d.ratings());
+        assert!(out.dataset.ratings().take(3).eq(d.ratings()));
         assert_eq!(out.dataset.find_title("gamma"), Some(i2));
         assert_eq!(out.dataset.ratings_for_item(i2).len(), 1);
         assert_eq!(out.changed_items, vec![i2]);

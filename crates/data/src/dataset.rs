@@ -1,32 +1,30 @@
 //! The columnar dataset store `D = ⟨I, U, R⟩` with access-path indexes.
 //!
-//! Ratings are stored in one contiguous column sorted by `(item, timestamp)`
-//! so that the ratings of an item — the input `R_I` of every mining task —
-//! are a contiguous slice reachable through a CSR offset table, and hash
-//! indexes resolve title and person lookups for the query language.
+//! Ratings live in one [`RatingChunk`] per item, sorted by `(ts, user)`, so
+//! the ratings of an item — the input `R_I` of every mining task — are one
+//! chunk's slice. An item-offset table places the chunks end to end in a
+//! global `(item, ts, user)` order, and a [`RatingIdx`] is a position in that
+//! order. Chunks and catalogue tables sit behind `Arc`s, so a dataset version
+//! made by [`Dataset::with_appended`] shares everything a commit did not
+//! touch with its parent. Hash indexes resolve title and person lookups for
+//! the query language.
 
 use crate::append::{AppendBatch, AppendResult};
 use crate::error::DataError;
 use crate::ids::{ItemId, PersonId, RatingIdx, UserId};
 use crate::item::{Item, Person, Role};
 use crate::packed::PackedUserCode;
+use crate::partition::{add_months, MonthPartition};
 use crate::rating::Rating;
 use crate::stats::RatingStats;
 use crate::time::{TimeRange, Timestamp};
 use crate::user::User;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Builds the item CSR offsets over an already-sorted rating column.
-fn build_item_offsets(num_items: usize, ratings: &[Rating]) -> Vec<u32> {
-    let mut offsets = vec![0u32; num_items + 1];
-    for r in ratings {
-        offsets[r.item.index() + 1] += 1;
-    }
-    for i in 1..offsets.len() {
-        offsets[i] += offsets[i - 1];
-    }
-    offsets
-}
+/// Ratings a build frees from its sorted column before handing the memory
+/// back (1 MiB of 16-byte ratings).
+const SHRINK_STEP: usize = 1 << 16;
 
 /// `span` widened to take in every timestamp of `ratings`.
 fn widen_span(
@@ -39,26 +37,89 @@ fn widen_span(
     })
 }
 
-/// Immutable, validated collaborative-rating dataset.
-#[derive(Debug, Clone)]
-pub struct Dataset {
-    users: Vec<User>,
+/// The ratings of one item, sorted by `(ts, user)`, with the two dense
+/// columns the cube builder's hot loop reads aligned to them.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct RatingChunk {
+    ratings: Vec<Rating>,
+    /// Packed reviewer code of each rating (see [`PackedUserCode`]), so
+    /// cube materialization never chases `rating → user → attr_value`.
+    user_codes: Vec<u16>,
+    /// Score histogram bucket (`score − 1`, so `0..5`) of each rating.
+    score_bins: Vec<u8>,
+}
+
+/// Where a [`RatingCursor`] starts: an empty chunk, so the first lookup seeks.
+static EMPTY_CHUNK: RatingChunk = RatingChunk {
+    ratings: Vec::new(),
+    user_codes: Vec::new(),
+    score_bins: Vec::new(),
+};
+
+impl RatingChunk {
+    /// Packs already-sorted ratings of one item, given each reviewer's
+    /// packed code.
+    fn pack(ratings: Vec<Rating>, code_of: impl Fn(UserId) -> u16) -> RatingChunk {
+        let user_codes = ratings.iter().map(|r| code_of(r.user)).collect();
+        let score_bins = ratings.iter().map(|r| r.score.bucket() as u8).collect();
+        RatingChunk {
+            ratings,
+            user_codes,
+            score_bins,
+        }
+    }
+
+    /// This chunk with `run`, further ratings of the same item, spliced
+    /// into `(ts, user)` order; the stable sort keeps old ratings ahead of
+    /// new ones with the same key, and `run`'s own order among its ties.
+    fn merged_with(&self, run: &[Rating], users: &[User]) -> RatingChunk {
+        let mut ratings = Vec::with_capacity(self.len() + run.len());
+        ratings.extend_from_slice(&self.ratings);
+        ratings.extend_from_slice(run);
+        ratings.sort_by_key(|r| (r.ts, r.user));
+        RatingChunk::pack(ratings, |u| PackedUserCode::pack(&users[u.index()]).get())
+    }
+
+    /// The item's ratings, ordered by `(ts, user)`.
+    #[inline]
+    pub fn ratings(&self) -> &[Rating] {
+        &self.ratings
+    }
+
+    /// Packed reviewer codes aligned with [`ratings`](Self::ratings):
+    /// position `i` packs the demographic profile of `ratings()[i]`'s
+    /// reviewer.
+    #[inline]
+    pub fn user_codes(&self) -> &[u16] {
+        &self.user_codes
+    }
+
+    /// Score histogram buckets (`score − 1`) aligned with
+    /// [`ratings`](Self::ratings).
+    #[inline]
+    pub fn score_bins(&self) -> &[u8] {
+        &self.score_bins
+    }
+
+    /// Number of ratings in the chunk.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.ratings.len()
+    }
+
+    /// True when nobody rated the item.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.ratings.is_empty()
+    }
+}
+
+/// The item and person tables with their lookup indexes: everything a
+/// commit leaves alone unless it adds items.
+#[derive(Debug, Clone, Default)]
+struct Catalogue {
     items: Vec<Item>,
     persons: Vec<Person>,
-    /// Ratings sorted by `(item, ts, user)`.
-    ratings: Vec<Rating>,
-    /// Per-rating packed reviewer codes, aligned with `ratings` — the
-    /// dense column the cube builder scans instead of chasing
-    /// `rating → user → attr_value` pointers.
-    rating_user_codes: Vec<u16>,
-    /// Per-rating score histogram buckets (`score - 1`), aligned with
-    /// `ratings` — the parallel score column of the same hot loop.
-    rating_score_bins: Vec<u8>,
-    /// CSR offsets: ratings of item `i` live at `ratings[item_offsets[i]..item_offsets[i+1]]`.
-    item_offsets: Vec<u32>,
-    /// Earliest and latest rating timestamps, kept up to date by
-    /// [`DatasetBuilder::build`] and [`Dataset::with_appended`].
-    time_span: Option<(Timestamp, Timestamp)>,
     /// Lowercased title → item.
     title_index: HashMap<String, ItemId>,
     /// Lowercased person name → person.
@@ -69,6 +130,73 @@ pub struct Dataset {
     directs: HashMap<PersonId, Vec<ItemId>>,
 }
 
+impl Catalogue {
+    fn new(items: Vec<Item>, persons: Vec<Person>) -> Catalogue {
+        let person_index = persons
+            .iter()
+            .map(|p| (p.name.to_lowercase(), p.id))
+            .collect();
+        let mut catalogue = Catalogue {
+            items: Vec::with_capacity(items.len()),
+            persons,
+            person_index,
+            ..Catalogue::default()
+        };
+        for it in items {
+            catalogue.push_item(it);
+        }
+        catalogue
+    }
+
+    /// Appends an item and indexes its title and people.
+    fn push_item(&mut self, it: Item) {
+        self.title_index.insert(it.title.to_lowercase(), it.id);
+        for &p in &it.actors {
+            self.acts_in.entry(p).or_default().push(it.id);
+        }
+        for &p in &it.directors {
+            self.directs.entry(p).or_default().push(it.id);
+        }
+        self.items.push(it);
+    }
+}
+
+/// Immutable, validated collaborative-rating dataset.
+///
+/// Cloning is cheap: the reviewer table, the catalogue and every rating
+/// chunk are shared, and only the O(items) chunk and offset tables copy.
+#[derive(Debug, Clone)]
+pub struct Dataset {
+    /// Reviewers, shared with the parent version unless a commit adds some.
+    users: Arc<Vec<User>>,
+    /// Items, persons and their indexes, shared with the parent version
+    /// unless a commit adds items.
+    catalogue: Arc<Catalogue>,
+    /// One chunk per item; a commit replaces only the chunks it touched.
+    chunks: Vec<Arc<RatingChunk>>,
+    /// Global coordinates: item `i`'s ratings hold rating indexes
+    /// `item_offsets[i]..item_offsets[i+1]`.
+    item_offsets: Vec<u32>,
+    /// Earliest and latest rating timestamps, kept up to date by
+    /// [`DatasetBuilder::build`] and [`Dataset::with_appended`].
+    time_span: Option<(Timestamp, Timestamp)>,
+    /// Rating counts per calendar month, ascending by month, kept up to
+    /// date the same way.
+    months: Vec<MonthPartition>,
+}
+
+/// Prefix sums of the chunk lengths: the global coordinate of each item.
+fn offsets_of(chunks: &[Arc<RatingChunk>]) -> Vec<u32> {
+    let mut offsets = Vec::with_capacity(chunks.len() + 1);
+    let mut end = 0u32;
+    offsets.push(end);
+    for chunk in chunks {
+        end += chunk.len() as u32;
+        offsets.push(end);
+    }
+    offsets
+}
+
 impl Dataset {
     /// All users, indexed densely by [`UserId`].
     pub fn users(&self) -> &[User] {
@@ -77,22 +205,22 @@ impl Dataset {
 
     /// All items, indexed densely by [`ItemId`].
     pub fn items(&self) -> &[Item] {
-        &self.items
+        &self.catalogue.items
     }
 
     /// All persons, indexed densely by [`PersonId`].
     pub fn persons(&self) -> &[Person] {
-        &self.persons
+        &self.catalogue.persons
     }
 
-    /// The full rating column, sorted by `(item, timestamp)`.
-    pub fn ratings(&self) -> &[Rating] {
-        &self.ratings
+    /// Every rating in rating-index order, that is by `(item, ts, user)`.
+    pub fn ratings(&self) -> impl Iterator<Item = &Rating> + Clone + '_ {
+        self.chunks.iter().flat_map(|chunk| chunk.ratings())
     }
 
     /// Number of rating tuples.
     pub fn num_ratings(&self) -> usize {
-        self.ratings.len()
+        self.item_offsets.last().map_or(0, |&n| n as usize)
     }
 
     /// Looks up a user by id.
@@ -104,61 +232,62 @@ impl Dataset {
     /// Looks up an item by id.
     #[inline]
     pub fn item(&self, id: ItemId) -> &Item {
-        &self.items[id.index()]
+        &self.catalogue.items[id.index()]
     }
 
     /// Looks up a person by id.
     #[inline]
     pub fn person(&self, id: PersonId) -> &Person {
-        &self.persons[id.index()]
+        &self.catalogue.persons[id.index()]
     }
 
-    /// The rating at a dense rating index.
-    #[inline]
+    /// The rating at a dense rating index. One binary search over the
+    /// item offsets; walks over many indexes use a [`RatingCursor`].
     pub fn rating(&self, idx: RatingIdx) -> &Rating {
-        &self.ratings[idx.index()]
+        self.cursor().rating(idx)
     }
 
-    /// Per-rating packed reviewer codes (see
-    /// [`PackedUserCode`]), aligned with
-    /// [`ratings`](Self::ratings): position `i` packs the demographic
-    /// profile of `ratings()[i]`'s reviewer. Precomputed at dataset build
-    /// time so cube materialization reads one contiguous `u16` column.
+    /// A cursor resolving rating indexes to their chunks, positioned
+    /// before the first item.
+    pub fn cursor(&self) -> RatingCursor<'_> {
+        RatingCursor {
+            dataset: self,
+            item: usize::MAX,
+            start: 0,
+            chunk: &EMPTY_CHUNK,
+        }
+    }
+
+    /// The chunk holding an item's ratings, codes and score bins.
     #[inline]
-    pub fn rating_user_codes(&self) -> &[u16] {
-        &self.rating_user_codes
+    pub fn chunk(&self, item: ItemId) -> &Arc<RatingChunk> {
+        &self.chunks[item.index()]
     }
 
-    /// Per-rating score histogram buckets (`score − 1`, so `0..5`),
-    /// aligned with [`ratings`](Self::ratings) — the score column the
-    /// cube builder's counting pass accumulates.
-    #[inline]
-    pub fn rating_score_bins(&self) -> &[u8] {
-        &self.rating_score_bins
-    }
-
-    /// The contiguous ratings slice of an item (its `R_I` for a singleton
-    /// query), ordered by timestamp.
+    /// An item's ratings (its `R_I` for a singleton query), ordered by
+    /// timestamp.
     pub fn ratings_for_item(&self, item: ItemId) -> &[Rating] {
-        let lo = self.item_offsets[item.index()] as usize;
-        let hi = self.item_offsets[item.index() + 1] as usize;
-        &self.ratings[lo..hi]
+        self.chunk(item).ratings()
     }
 
-    /// The dense index range of an item's ratings inside the rating column.
+    /// The dense index range of an item's ratings.
     pub fn rating_range_for_item(&self, item: ItemId) -> std::ops::Range<u32> {
         self.item_offsets[item.index()]..self.item_offsets[item.index() + 1]
     }
 
     /// Resolves an exact title (case-insensitive).
     pub fn find_title(&self, title: &str) -> Option<ItemId> {
-        self.title_index.get(&title.to_lowercase()).copied()
+        self.catalogue
+            .title_index
+            .get(&title.to_lowercase())
+            .copied()
     }
 
     /// Items whose title contains `needle` (case-insensitive substring).
     pub fn search_titles(&self, needle: &str) -> Vec<ItemId> {
         let needle = needle.to_lowercase();
-        self.items
+        self.catalogue
+            .items
             .iter()
             .filter(|it| it.title.to_lowercase().contains(&needle))
             .map(|it| it.id)
@@ -167,14 +296,17 @@ impl Dataset {
 
     /// Resolves a person by exact name (case-insensitive).
     pub fn find_person(&self, name: &str) -> Option<PersonId> {
-        self.person_index.get(&name.to_lowercase()).copied()
+        self.catalogue
+            .person_index
+            .get(&name.to_lowercase())
+            .copied()
     }
 
     /// Items a person is attached to in a given role.
     pub fn items_with_person(&self, person: PersonId, role: Role) -> &[ItemId] {
         let map = match role {
-            Role::Actor => &self.acts_in,
-            Role::Director => &self.directs,
+            Role::Actor => &self.catalogue.acts_in,
+            Role::Director => &self.catalogue.directs,
         };
         map.get(&person).map(Vec::as_slice).unwrap_or(&[])
     }
@@ -192,7 +324,7 @@ impl Dataset {
 
     /// Global aggregate statistics.
     pub fn global_stats(&self) -> RatingStats {
-        RatingStats::from_scores(self.ratings.iter().map(|r| r.score))
+        RatingStats::from_scores(self.ratings().map(|r| r.score))
     }
 
     /// Earliest and latest rating timestamps, if any ratings exist.
@@ -201,15 +333,28 @@ impl Dataset {
         self.time_span
     }
 
+    /// Per-month rating counts over the whole dataset, ascending by month.
+    /// `O(1)`: the counts are stored, not rescanned.
+    ///
+    /// This is the partition inventory `/api/v1/stats` reports and the
+    /// ingest watermark is keyed against.
+    pub fn month_partitions(&self) -> &[MonthPartition] {
+        &self.months
+    }
+
     /// Merges an append batch into a new immutable dataset.
     ///
-    /// The rating column stays sorted by `(item, ts, user)` — new ratings
-    /// are spliced into place, with old ratings winning ties. New users and
+    /// Each item's ratings stay sorted by `(ts, user)` — new ratings are
+    /// spliced into place, with old ratings winning ties. New users and
     /// items must densely continue the existing id space (use
-    /// [`crate::append::IdAllocator`]); existing packed reviewer codes are
-    /// carried over byte-for-byte, and new positions pack their reviewer
-    /// exactly as a from-scratch [`DatasetBuilder::build`] would, so the
-    /// result is indistinguishable from a full reload of the merged data.
+    /// [`crate::append::IdAllocator`]); a rebuilt chunk packs its
+    /// reviewers exactly as a from-scratch [`DatasetBuilder::build`] would,
+    /// so the result is indistinguishable from a full reload of the merged
+    /// data.
+    ///
+    /// Only the chunks of rated items are rebuilt. Every other chunk, and
+    /// the reviewer and catalogue tables unless the batch extends them, are
+    /// shared with `self`.
     ///
     /// Returns the new dataset plus the items whose ratings changed (the
     /// cache invalidation scope of a live commit).
@@ -229,16 +374,17 @@ impl Dataset {
                 )));
             }
         }
+        let old_items = self.catalogue.items.len();
         for (k, it) in new_items.iter().enumerate() {
-            if it.id.index() != self.items.len() + k {
+            if it.id.index() != old_items + k {
                 return Err(DataError::Invalid(format!(
                     "appended item id {} does not continue the dense id space (expected {})",
                     it.id,
-                    self.items.len() + k
+                    old_items + k
                 )));
             }
             for p in it.actors.iter().chain(it.directors.iter()) {
-                if p.index() >= self.persons.len() {
+                if p.index() >= self.catalogue.persons.len() {
                     return Err(DataError::Invalid(format!(
                         "item {} references unknown person {}",
                         it.id, p
@@ -247,7 +393,7 @@ impl Dataset {
             }
         }
         let num_users = self.users.len() + new_users.len();
-        let num_items = self.items.len() + new_items.len();
+        let num_items = old_items + new_items.len();
         for r in &new_ratings {
             if r.user.index() >= num_users {
                 return Err(DataError::UnknownUser(r.user.0));
@@ -257,81 +403,54 @@ impl Dataset {
             }
         }
 
-        let mut users = self.users.clone();
-        users.extend(new_users);
-        let mut items = self.items.clone();
-        let mut title_index = self.title_index.clone();
-        let mut acts_in = self.acts_in.clone();
-        let mut directs = self.directs.clone();
-        for it in new_items {
-            title_index.insert(it.title.to_lowercase(), it.id);
-            for &p in &it.actors {
-                acts_in.entry(p).or_default().push(it.id);
+        let mut users = Arc::clone(&self.users);
+        if !new_users.is_empty() {
+            Arc::make_mut(&mut users).extend(new_users);
+        }
+        let mut catalogue = Arc::clone(&self.catalogue);
+        // Brand-new items count as changed even without ratings: catalogue
+        // queries may now match them.
+        let mut changed: Vec<ItemId> = new_items.iter().map(|it| it.id).collect();
+        if !new_items.is_empty() {
+            let catalogue = Arc::make_mut(&mut catalogue);
+            for it in new_items {
+                catalogue.push_item(it);
             }
-            for &p in &it.directors {
-                directs.entry(p).or_default().push(it.id);
-            }
-            items.push(it);
         }
 
         // Stable sort: ratings submitted in one batch with identical
         // `(item, ts, user)` keys keep their submission order.
         new_ratings.sort_by_key(|r| (r.item, r.ts, r.user));
 
-        // Merge-splice into the sorted column, old before new on ties.
-        let old = &self.ratings;
-        let m = new_ratings.len();
-        let mut ratings = Vec::with_capacity(old.len() + m);
-        let mut rating_user_codes = Vec::with_capacity(old.len() + m);
-        let mut rating_score_bins = Vec::with_capacity(old.len() + m);
-        let mut changed: Vec<ItemId> = new_ratings.iter().map(|r| r.item).collect();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < old.len() || j < m {
-            let take_new = j < m
-                && (i == old.len() || {
-                    let n = &new_ratings[j];
-                    let o = &old[i];
-                    (n.item, n.ts, n.user) < (o.item, o.ts, o.user)
-                });
-            if take_new {
-                let n = new_ratings[j];
-                rating_user_codes.push(PackedUserCode::pack(&users[n.user.index()]).get());
-                rating_score_bins.push(n.score.bucket() as u8);
-                ratings.push(n);
-                j += 1;
-            } else {
-                rating_user_codes.push(self.rating_user_codes[i]);
-                rating_score_bins.push(self.rating_score_bins[i]);
-                ratings.push(old[i]);
-                i += 1;
-            }
+        let mut chunks = self.chunks.clone();
+        chunks.resize_with(num_items, Arc::default);
+        let mut copied_ratings = 0;
+        for run in new_ratings.chunk_by(|a, b| a.item == b.item) {
+            let item = run[0].item;
+            let merged = chunks[item.index()].merged_with(run, &users);
+            copied_ratings += merged.len();
+            chunks[item.index()] = Arc::new(merged);
+            changed.push(item);
         }
-
-        // Brand-new items count as changed even without ratings: catalogue
-        // queries may now match them.
-        changed.extend(items[self.items.len()..].iter().map(|it| it.id));
         changed.sort_unstable();
         changed.dedup();
 
-        let item_offsets = build_item_offsets(items.len(), &ratings);
-
+        let mut months = self.months.clone();
+        if let Some(span) = widen_span(None, &new_ratings) {
+            add_months(&mut months, &new_ratings, span);
+        }
         let dataset = Dataset {
             users,
-            items,
-            persons: self.persons.clone(),
-            ratings,
-            rating_user_codes,
-            rating_score_bins,
-            item_offsets,
+            catalogue,
+            item_offsets: offsets_of(&chunks),
+            chunks,
             time_span: widen_span(self.time_span, &new_ratings),
-            title_index,
-            person_index: self.person_index.clone(),
-            acts_in,
-            directs,
+            months,
         };
         Ok(AppendResult {
             dataset,
             changed_items: changed,
+            copied_ratings,
         })
     }
 
@@ -340,10 +459,93 @@ impl Dataset {
         format!(
             "{} users, {} items, {} persons, {} ratings",
             self.users.len(),
-            self.items.len(),
-            self.persons.len(),
-            self.ratings.len()
+            self.catalogue.items.len(),
+            self.catalogue.persons.len(),
+            self.num_ratings()
         )
+    }
+}
+
+/// Resolves rating indexes to `(chunk, offset)` pairs, remembering the
+/// item it last landed in.
+///
+/// An index inside that item costs one comparison. Leaving it steps to the
+/// next item when the index continues there and otherwise binary-searches
+/// the item offsets, so a walk over ascending indexes, or over any sequence
+/// of per-item runs, pays one search per run at most and never one per
+/// rating. Any order of indexes stays correct.
+#[derive(Debug, Clone)]
+pub struct RatingCursor<'a> {
+    dataset: &'a Dataset,
+    /// Current item (`usize::MAX` before the first lookup).
+    item: usize,
+    /// Rating index of the current chunk's first rating.
+    start: u32,
+    chunk: &'a RatingChunk,
+}
+
+impl<'a> RatingCursor<'a> {
+    /// The chunk holding rating `idx` and its offset inside the chunk.
+    ///
+    /// # Panics
+    /// Panics when `idx` is not below [`Dataset::num_ratings`].
+    #[inline]
+    pub fn locate(&mut self, idx: u32) -> (&'a RatingChunk, usize) {
+        let at = idx.wrapping_sub(self.start) as usize;
+        if at < self.chunk.len() {
+            return (self.chunk, at);
+        }
+        self.seek(idx);
+        (self.chunk, (idx - self.start) as usize)
+    }
+
+    /// The chunk holding rating `idx[0]`, the rating index of the chunk's
+    /// first rating, and how many leading entries of `idx` fall in the
+    /// chunk. A hot loop then reads the chunk's columns as plain slices.
+    ///
+    /// # Panics
+    /// Panics when `idx` is empty or `idx[0]` is out of range.
+    #[inline]
+    pub fn run(&mut self, idx: &[u32]) -> (&'a RatingChunk, u32, usize) {
+        let (chunk, at) = self.locate(idx[0]);
+        let start = idx[0] - at as u32;
+        let len = chunk.len() as u32;
+        let n = idx
+            .iter()
+            .take_while(|&&i| i.wrapping_sub(start) < len)
+            .count();
+        (chunk, start, n)
+    }
+
+    /// The rating at `idx`.
+    ///
+    /// # Panics
+    /// Panics when `idx` is out of range, as [`locate`](Self::locate).
+    #[inline]
+    pub fn rating(&mut self, idx: RatingIdx) -> &'a Rating {
+        let (chunk, at) = self.locate(idx.0);
+        &chunk.ratings[at]
+    }
+
+    #[inline(never)]
+    fn seek(&mut self, idx: u32) {
+        let offsets = &self.dataset.item_offsets;
+        let total = self.dataset.num_ratings();
+        assert!(
+            (idx as usize) < total,
+            "rating index {idx} out of range for {total} ratings"
+        );
+        let next = self.item.wrapping_add(1);
+        let continues = offsets
+            .get(next + 1)
+            .is_some_and(|&end| offsets[next] <= idx && idx < end);
+        self.item = if continues {
+            next
+        } else {
+            offsets.partition_point(|&o| o <= idx) - 1
+        };
+        self.start = offsets[self.item];
+        self.chunk = &self.dataset.chunks[self.item];
     }
 }
 
@@ -410,8 +612,8 @@ impl DatasetBuilder {
         self.items.len()
     }
 
-    /// Validates referential integrity, sorts the rating column and builds
-    /// all indexes.
+    /// Validates referential integrity, sorts the ratings and builds all
+    /// chunks and indexes.
     pub fn build(self) -> Result<Dataset, DataError> {
         let DatasetBuilder {
             users,
@@ -440,52 +642,40 @@ impl DatasetBuilder {
         }
 
         ratings.sort_unstable_by_key(|r| (r.item, r.ts, r.user));
-
-        // Dense per-rating columns for the cube builder's hot loop:
-        // packed reviewer codes and score buckets, aligned with the
-        // sorted rating column.
-        let rating_user_codes: Vec<u16> = ratings
-            .iter()
-            .map(|r| PackedUserCode::pack(&users[r.user.index()]).get())
-            .collect();
-        let rating_score_bins: Vec<u8> = ratings.iter().map(|r| r.score.bucket() as u8).collect();
-
-        let item_offsets = build_item_offsets(items.len(), &ratings);
         let time_span = widen_span(None, &ratings);
-
-        let title_index = items
-            .iter()
-            .map(|it| (it.title.to_lowercase(), it.id))
-            .collect();
-        let person_index = persons
-            .iter()
-            .map(|p| (p.name.to_lowercase(), p.id))
-            .collect();
-
-        let mut acts_in: HashMap<PersonId, Vec<ItemId>> = HashMap::new();
-        let mut directs: HashMap<PersonId, Vec<ItemId>> = HashMap::new();
-        for it in &items {
-            for &p in &it.actors {
-                acts_in.entry(p).or_default().push(it.id);
-            }
-            for &p in &it.directors {
-                directs.entry(p).or_default().push(it.id);
-            }
+        let mut months = Vec::new();
+        if let Some(span) = time_span {
+            add_months(&mut months, &ratings, span);
         }
 
+        // Cut the sorted column into per-item chunks from its end, packing
+        // each rating's reviewer code (packed once per reviewer) and score
+        // bucket beside it. The column shrinks as chunks take its ratings
+        // over, so its memory goes back to the allocator instead of staying
+        // resident under the chunks.
+        let codes: Vec<u16> = users
+            .iter()
+            .map(|u| PackedUserCode::pack(u).get())
+            .collect();
+        let mut chunks: Vec<Arc<RatingChunk>> = Vec::with_capacity(items.len());
+        for it in items.iter().rev() {
+            let start = ratings.partition_point(|r| r.item < it.id);
+            let chunk = RatingChunk::pack(ratings[start..].to_vec(), |u| codes[u.index()]);
+            chunks.push(Arc::new(chunk));
+            ratings.truncate(start);
+            if ratings.capacity() - ratings.len() >= SHRINK_STEP {
+                ratings.shrink_to_fit();
+            }
+        }
+        chunks.reverse();
+
         Ok(Dataset {
-            users,
-            items,
-            persons,
-            ratings,
-            rating_user_codes,
-            rating_score_bins,
-            item_offsets,
+            users: Arc::new(users),
+            catalogue: Arc::new(Catalogue::new(items, persons)),
+            item_offsets: offsets_of(&chunks),
+            chunks,
             time_span,
-            title_index,
-            person_index,
-            acts_in,
-            directs,
+            months,
         })
     }
 }
@@ -629,8 +819,8 @@ mod tests {
     #[test]
     fn appended_time_span_matches_full_scan() {
         let scan = |d: &Dataset| -> Option<(Timestamp, Timestamp)> {
-            let min = d.ratings().iter().map(|r| r.ts).min()?;
-            Some((min, d.ratings().iter().map(|r| r.ts).max()?))
+            let min = d.ratings().map(|r| r.ts).min()?;
+            Some((min, d.ratings().map(|r| r.ts).max()?))
         };
         let rate = |item: u32, y: i64, m: u32, day: u32| {
             Rating::new(
@@ -686,19 +876,64 @@ mod tests {
     #[test]
     fn packed_columns_align_with_ratings() {
         let d = sample();
-        assert_eq!(d.rating_user_codes().len(), d.num_ratings());
-        assert_eq!(d.rating_score_bins().len(), d.num_ratings());
-        for (i, r) in d.ratings().iter().enumerate() {
-            let code = PackedUserCode::from_raw(d.rating_user_codes()[i]);
-            let user = d.user(r.user);
-            for attr in crate::attrs::UserAttr::ALL {
-                assert_eq!(
-                    usize::from(code.field(attr)),
-                    user.attr_value(attr).value_index()
-                );
+        for item in d.items() {
+            let chunk = d.chunk(item.id);
+            assert_eq!(chunk.user_codes().len(), chunk.len());
+            assert_eq!(chunk.score_bins().len(), chunk.len());
+            for (i, r) in chunk.ratings().iter().enumerate() {
+                let code = PackedUserCode::from_raw(chunk.user_codes()[i]);
+                let user = d.user(r.user);
+                for attr in crate::attrs::UserAttr::ALL {
+                    assert_eq!(
+                        usize::from(code.field(attr)),
+                        user.attr_value(attr).value_index()
+                    );
+                }
+                assert_eq!(usize::from(chunk.score_bins()[i]), r.score.bucket());
             }
-            assert_eq!(usize::from(d.rating_score_bins()[i]), r.score.bucket());
         }
+    }
+
+    #[test]
+    fn cursor_resolves_any_index_order() {
+        let d = sample();
+        let flat: Vec<Rating> = d.ratings().copied().collect();
+        assert_eq!(d.num_ratings(), flat.len());
+        let mut cursor = d.cursor();
+        for idx in [2u32, 0, 1, 2, 1, 0, 0] {
+            assert_eq!(*cursor.rating(RatingIdx(idx)), flat[idx as usize]);
+            assert_eq!(*d.rating(RatingIdx(idx)), flat[idx as usize]);
+        }
+        for item in d.items() {
+            for (k, idx) in d.rating_range_for_item(item.id).enumerate() {
+                let (chunk, at) = cursor.locate(idx);
+                assert!(std::ptr::eq(chunk, &**d.chunk(item.id)));
+                assert_eq!(at, k);
+            }
+        }
+        // `run` cuts any index list into per-chunk runs.
+        let idx = [0u32, 1, 2, 1, 0, 2, 2];
+        let (mut rest, mut runs, mut seen) = (&idx[..], 0, Vec::new());
+        while !rest.is_empty() {
+            let (chunk, start, n) = cursor.run(rest);
+            seen.extend(
+                rest[..n]
+                    .iter()
+                    .map(|&i| chunk.ratings()[(i - start) as usize]),
+            );
+            rest = &rest[n..];
+            runs += 1;
+        }
+        let expected: Vec<Rating> = idx.iter().map(|&i| flat[i as usize]).collect();
+        assert_eq!(seen, expected);
+        assert_eq!(runs, 4, "[0, 1] [2] [1, 0] [2, 2]");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn cursor_rejects_index_past_the_end() {
+        let d = sample();
+        d.rating(RatingIdx(d.num_ratings() as u32));
     }
 
     #[test]

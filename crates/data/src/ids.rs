@@ -58,7 +58,8 @@ id_type!(
     PersonId
 );
 id_type!(
-    /// Dense index of a rating tuple inside a dataset's rating column.
+    /// Dense index of a rating tuple in a dataset's global `(item, ts, user)`
+    /// order (see [`crate::Dataset::rating_range_for_item`]).
     RatingIdx
 );
 

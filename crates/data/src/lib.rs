@@ -9,7 +9,9 @@
 //!
 //! * strongly-typed identifiers and attribute domains ([`ids`], [`attrs`],
 //!   [`genre`], [`score`], [`time`]);
-//! * the columnar [`dataset::Dataset`] store with per-item indexes;
+//! * the [`dataset::Dataset`] store: one `Arc`-shared rating chunk per
+//!   item behind a global item-offset table, so a live commit copies only
+//!   the chunks it touched;
 //! * a loader and writer for the on-disk MovieLens‑1M format ([`loader`],
 //!   [`writer`]);
 //! * a statistically faithful synthetic generator at MovieLens‑1M scale with
@@ -44,7 +46,7 @@ pub mod zipcode;
 
 pub use append::{AppendBatch, AppendResult, IdAllocator};
 pub use attrs::{AVPair, AgeGroup, AttrValue, Gender, Occupation, UsState, UserAttr};
-pub use dataset::{Dataset, DatasetBuilder};
+pub use dataset::{Dataset, DatasetBuilder, RatingChunk, RatingCursor};
 pub use error::DataError;
 pub use genre::{Genre, GenreSet};
 pub use ids::{ItemId, PersonId, RatingIdx, UserId};

@@ -11,8 +11,8 @@
 //!     (6 b)    (5 b)        (1 b)   (3 b)
 //! ```
 //!
-//! The dataset precomputes one such code per *rating* (aligned with the
-//! rating column — see [`crate::Dataset::rating_user_codes`]), so cube
+//! The dataset precomputes one such code per *rating* (aligned with each
+//! item's ratings — see [`crate::RatingChunk::user_codes`]), so cube
 //! materialization never chases `rating → user → attr_value` pointers:
 //! each cuboid maps a packed code to a dense cell id with shift/mask
 //! field extraction and mixed-radix multipliers, no hashing involved.
@@ -84,7 +84,7 @@ impl PackedUserCode {
         )
     }
 
-    /// The raw packed bits (what the dataset's per-rating column stores).
+    /// The raw packed bits (what a rating chunk's code column stores).
     #[inline]
     pub fn get(self) -> u16 {
         self.0

@@ -1,16 +1,17 @@
-//! Month-partition views over the rating column.
+//! Month partitions of the ratings.
 //!
-//! The rating column is sorted by `(item, ts, user)`, so within one item's
-//! contiguous slice each calendar month occupies a contiguous subrange.
-//! That makes a *partition* a set of index ranges rather than a copy: the
-//! timeline and the delta cube maintainer address per-month subsets of the
-//! universe without re-streaming ratings, and ingest commits report which
-//! month partitions they touched.
+//! Each item's ratings are sorted by timestamp, so every calendar month
+//! occupies a contiguous run of the item's rating indexes. That makes a
+//! *partition* a set of index ranges rather than a copy: the timeline
+//! mines a slider window by merging the profile summaries of its month
+//! runs instead of re-streaming ratings. The dataset also keeps a running
+//! count of ratings per month, which `/api/v1/stats` reports and which a
+//! commit extends with the months of its batch.
 
 use crate::dataset::Dataset;
 use crate::ids::ItemId;
-use crate::time::MonthKey;
-use std::collections::BTreeMap;
+use crate::rating::Rating;
+use crate::time::{MonthKey, Timestamp};
 use std::ops::Range;
 
 /// Per-month rating volume over a whole dataset.
@@ -22,17 +23,52 @@ pub struct MonthPartition {
     pub num_ratings: u64,
 }
 
+/// Adds the per-month counts of `ratings`, all timestamped inside `span`,
+/// to `months`, which stays ascending by month. Month boundaries are
+/// computed once per month of `span`, and each run of same-month ratings
+/// costs one search over them, so a column sorted by `(item, ts)` pays one
+/// search per item-month, not a calendar conversion per rating.
+pub(crate) fn add_months(
+    months: &mut Vec<MonthPartition>,
+    ratings: &[Rating],
+    (lo, hi): (Timestamp, Timestamp),
+) {
+    let keys: Vec<MonthKey> = lo.month_key().iter_through(hi.month_key()).collect();
+    let ends: Vec<Timestamp> = keys.iter().map(|m| m.end_exclusive()).collect();
+    let mut counts = vec![0u64; keys.len()];
+    let mut rest = ratings;
+    while let Some(first) = rest.first() {
+        let m = ends.partition_point(|&end| end <= first.ts);
+        let start = m.checked_sub(1).map_or(lo, |prev| ends[prev]);
+        let run = rest
+            .iter()
+            .take_while(|r| start <= r.ts && r.ts < ends[m])
+            .count();
+        counts[m] += run as u64;
+        rest = &rest[run..];
+    }
+    for (month, num_ratings) in keys.into_iter().zip(counts) {
+        if num_ratings == 0 {
+            continue;
+        }
+        match months.binary_search_by_key(&month, |p| p.month) {
+            Ok(at) => months[at].num_ratings += num_ratings,
+            Err(at) => months.insert(at, MonthPartition { month, num_ratings }),
+        }
+    }
+}
+
 impl Dataset {
-    /// Splits an item's contiguous rating slice into per-month subranges.
+    /// Splits an item's ratings into per-month index ranges.
     ///
     /// Returned ranges are dense rating indexes (the same coordinate space
     /// as [`rating_range_for_item`](Dataset::rating_range_for_item)),
     /// ascending by month, and concatenate back to the item's full range.
     pub fn month_slices_for_item(&self, item: ItemId) -> Vec<(MonthKey, Range<u32>)> {
-        let range = self.rating_range_for_item(item);
+        let start = self.rating_range_for_item(item).start;
         let mut out: Vec<(MonthKey, Range<u32>)> = Vec::new();
-        for idx in range {
-            let month = self.ratings()[idx as usize].ts.month_key();
+        for (idx, r) in (start..).zip(self.ratings_for_item(item)) {
+            let month = r.ts.month_key();
             match out.last_mut() {
                 Some((m, r)) if *m == month => r.end = idx + 1,
                 _ => out.push((month, idx..idx + 1)),
@@ -40,26 +76,12 @@ impl Dataset {
         }
         out
     }
-
-    /// Per-month rating counts over the whole dataset, ascending by month.
-    ///
-    /// This is the partition inventory `/api/v1/stats` reports and the
-    /// ingest watermark is keyed against.
-    pub fn month_partitions(&self) -> Vec<MonthPartition> {
-        let mut counts: BTreeMap<MonthKey, u64> = BTreeMap::new();
-        for r in self.ratings() {
-            *counts.entry(r.ts.month_key()).or_insert(0) += 1;
-        }
-        counts
-            .into_iter()
-            .map(|(month, num_ratings)| MonthPartition { month, num_ratings })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::RatingIdx;
     use crate::synth::{generate, SynthConfig};
 
     #[test]
@@ -77,7 +99,7 @@ mod tests {
                     assert!(*month > p, "ascending months");
                 }
                 for idx in range.clone() {
-                    assert_eq!(d.ratings()[idx as usize].ts.month_key(), *month);
+                    assert_eq!(d.rating(RatingIdx(idx)).ts.month_key(), *month);
                 }
                 cursor = range.end;
                 prev = Some(*month);
@@ -94,5 +116,20 @@ mod tests {
         let total: u64 = parts.iter().map(|p| p.num_ratings).sum();
         assert_eq!(total, d.num_ratings() as u64);
         assert!(parts.windows(2).all(|w| w[0].month < w[1].month));
+    }
+
+    #[test]
+    fn stored_month_counts_match_a_full_scan() {
+        let d = generate(&SynthConfig::tiny(7)).unwrap();
+        let mut scan = std::collections::BTreeMap::new();
+        for r in d.ratings() {
+            *scan.entry(r.ts.month_key()).or_insert(0u64) += 1;
+        }
+        let stored: Vec<(MonthKey, u64)> = d
+            .month_partitions()
+            .iter()
+            .map(|p| (p.month, p.num_ratings))
+            .collect();
+        assert_eq!(stored, scan.into_iter().collect::<Vec<_>>());
     }
 }

@@ -6,8 +6,8 @@ use crate::time::Timestamp;
 
 /// A rating tuple `⟨i, u, s⟩` (§2.1), timestamped for the time slider.
 ///
-/// The struct is 16 bytes and `Copy`; the dataset stores ratings in one
-/// contiguous column sorted by `(item, timestamp)`.
+/// The struct is 16 bytes and `Copy`; the dataset stores each item's
+/// ratings in one chunk sorted by timestamp (see [`crate::RatingChunk`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rating {
     /// Rated item.

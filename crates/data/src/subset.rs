@@ -44,16 +44,13 @@ pub fn subset(dataset: &Dataset, spec: &SubsetSpec<'_>) -> Result<Dataset, DataE
     let item_allowed: Option<std::collections::HashSet<ItemId>> =
         spec.items.map(|list| list.iter().copied().collect());
 
-    // Pass 1: select ratings.
+    // Pass 1: select ratings, reading only the chunks of allowed items.
     let selected: Vec<&Rating> = dataset
-        .ratings()
+        .items()
         .iter()
+        .filter(|it| item_allowed.as_ref().is_none_or(|set| set.contains(&it.id)))
+        .flat_map(|it| dataset.ratings_for_item(it.id))
         .filter(|r| spec.time.contains(r.ts))
-        .filter(|r| {
-            item_allowed
-                .as_ref()
-                .is_none_or(|set| set.contains(&r.item))
-        })
         .filter(|r| {
             spec.user_filter
                 .map(|f| f(dataset.user(r.user)))
@@ -242,7 +239,7 @@ mod tests {
         let toy = d.find_title("Toy Story").unwrap();
         let sub = by_items(&d, &[toy]).unwrap();
         // Every surviving user rated Toy Story.
-        let raters: std::collections::HashSet<_> = sub.ratings().iter().map(|r| r.user).collect();
+        let raters: std::collections::HashSet<_> = sub.ratings().map(|r| r.user).collect();
         for u in sub.users() {
             assert!(raters.contains(&u.id));
         }
@@ -283,19 +280,25 @@ mod tests {
         batch.ratings.push(Rating::new(
             u,
             sub.items()[0].id,
-            sub.ratings()[0].score,
+            sub.ratings_for_item(sub.items()[0].id)[0].score,
             Timestamp::from_ymd(2002, 1, 1),
         ));
         let out = sub.with_appended(batch).unwrap();
         assert_eq!(out.dataset.users().len(), sub.users().len() + 1);
-        // The late rating splices in at the end of item 0's slice; with
-        // that one position removed, the pre-existing packed column is
+        // The late rating splices in at the end of item 0's chunk; with
+        // that one position removed, the pre-existing packed codes are
         // carried over unchanged.
-        let spliced = out.dataset.rating_range_for_item(sub.items()[0].id).end as usize - 1;
-        assert_eq!(out.dataset.ratings()[spliced].user, u);
-        let mut codes = out.dataset.rating_user_codes().to_vec();
-        codes.remove(spliced);
-        assert_eq!(codes, sub.rating_user_codes());
+        let item = sub.items()[0].id;
+        let chunk = out.dataset.chunk(item);
+        assert_eq!(chunk.ratings().last().unwrap().user, u);
+        let codes = &chunk.user_codes()[..chunk.len() - 1];
+        assert_eq!(codes, sub.chunk(item).user_codes());
+        for other in &sub.items()[1..] {
+            assert!(std::sync::Arc::ptr_eq(
+                out.dataset.chunk(other.id),
+                sub.chunk(other.id)
+            ));
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod tests {
         assert_eq!(a.num_ratings(), b.num_ratings());
         assert_eq!(a.users().len(), b.users().len());
         // Spot-check identical tuples.
-        for (x, y) in a.ratings().iter().zip(b.ratings()).step_by(97) {
+        for (x, y) in a.ratings().zip(b.ratings()).step_by(97) {
             assert_eq!(x, y);
         }
     }
@@ -76,12 +76,7 @@ mod tests {
     fn different_seeds_differ() {
         let a = generate(&SynthConfig::tiny(1)).unwrap();
         let b = generate(&SynthConfig::tiny(2)).unwrap();
-        let same = a
-            .ratings()
-            .iter()
-            .zip(b.ratings())
-            .filter(|(x, y)| x == y)
-            .count();
+        let same = a.ratings().zip(b.ratings()).filter(|(x, y)| x == y).count();
         assert!(same < a.num_ratings(), "seeds produce identical data");
     }
 

@@ -131,7 +131,7 @@ mod tests {
             assert_eq!(a.state, b.state);
         }
         // Ratings survive as a multiset (both sides sort identically).
-        for (a, b) in original.ratings().iter().zip(reloaded.ratings()) {
+        for (a, b) in original.ratings().zip(reloaded.ratings()) {
             assert_eq!(a, b);
         }
         // The people join survives.

@@ -3,10 +3,12 @@
 use maprat_data::synth::{generate, SynthConfig};
 use maprat_data::{
     zipcode, AgeGroup, AppendBatch, Dataset, DatasetBuilder, Gender, Genre, GenreSet, IdAllocator,
-    Item, ItemId, Occupation, Rating, RatingStats, Score, TimeRange, Timestamp, UsState, Zip,
+    Item, ItemId, Occupation, Person, Rating, RatingIdx, RatingStats, Score, TimeRange, Timestamp,
+    UsState, User, Zip,
 };
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use proptest::test_runner::TestCaseError;
+use std::sync::{Arc, OnceLock};
 
 proptest! {
     /// Civil calendar conversion round-trips over four decades of days.
@@ -239,7 +241,7 @@ proptest! {
         for p in dataset.persons() {
             builder.add_person(p.clone());
         }
-        for r in dataset.ratings().iter().chain(&batch.ratings) {
+        for r in dataset.ratings().chain(&batch.ratings) {
             builder.add_rating(*r);
         }
         let rebuilt = builder.build().unwrap();
@@ -257,11 +259,10 @@ proptest! {
 
         let out = dataset.with_appended(batch).unwrap();
         let merged = &out.dataset;
-        prop_assert_eq!(merged.ratings(), rebuilt.ratings());
-        prop_assert_eq!(merged.rating_user_codes(), rebuilt.rating_user_codes());
-        prop_assert_eq!(merged.rating_score_bins(), rebuilt.rating_score_bins());
+        prop_assert!(merged.ratings().eq(rebuilt.ratings()));
         prop_assert_eq!(merged.items().len(), rebuilt.items().len());
         for it in rebuilt.items() {
+            prop_assert_eq!(merged.chunk(it.id), rebuilt.chunk(it.id));
             prop_assert_eq!(
                 merged.rating_range_for_item(it.id),
                 rebuilt.rating_range_for_item(it.id)
@@ -272,5 +273,136 @@ proptest! {
             prop_assert_eq!(merged.find_title(title), Some(*id));
         }
         prop_assert_eq!(&out.changed_items, &changed);
+    }
+}
+
+/// The tables a dataset version was merged from, kept apart from it.
+#[derive(Clone)]
+struct Tables {
+    users: Vec<User>,
+    items: Vec<Item>,
+    persons: Vec<Person>,
+    ratings: Vec<Rating>,
+}
+
+impl Tables {
+    fn of(dataset: &Dataset) -> Tables {
+        Tables {
+            users: dataset.users().to_vec(),
+            items: dataset.items().to_vec(),
+            persons: dataset.persons().to_vec(),
+            ratings: dataset.ratings().copied().collect(),
+        }
+    }
+
+    fn extend(&mut self, batch: &AppendBatch) {
+        self.users.extend(batch.users.iter().cloned());
+        self.items.extend(batch.items.iter().cloned());
+        self.ratings.extend(&batch.ratings);
+    }
+
+    /// A `DatasetBuilder` rebuild of the tables.
+    fn rebuild(&self) -> Dataset {
+        let mut builder = DatasetBuilder::new();
+        for u in &self.users {
+            builder.add_user(u.clone());
+        }
+        for it in &self.items {
+            builder.add_item(it.clone());
+        }
+        for p in &self.persons {
+            builder.add_person(p.clone());
+        }
+        for r in &self.ratings {
+            builder.add_rating(*r);
+        }
+        builder.build().unwrap()
+    }
+}
+
+/// Every rating accessor of `merged` agrees with `rebuilt`.
+fn assert_same_ratings(merged: &Dataset, rebuilt: &Dataset) -> Result<(), TestCaseError> {
+    prop_assert_eq!(merged.num_ratings(), rebuilt.num_ratings());
+    prop_assert_eq!(merged.ratings().count(), rebuilt.num_ratings());
+    prop_assert!(merged.ratings().eq(rebuilt.ratings()));
+    prop_assert_eq!(merged.items().len(), rebuilt.items().len());
+    for it in rebuilt.items() {
+        prop_assert_eq!(merged.chunk(it.id), rebuilt.chunk(it.id));
+        prop_assert_eq!(
+            merged.rating_range_for_item(it.id),
+            rebuilt.rating_range_for_item(it.id)
+        );
+    }
+    let mut cursor = merged.cursor();
+    for (idx, r) in rebuilt.ratings().enumerate() {
+        let idx = RatingIdx(idx as u32);
+        prop_assert_eq!(merged.rating(idx), r);
+        prop_assert_eq!(cursor.rating(idx), r);
+    }
+    prop_assert_eq!(merged.month_partitions(), rebuilt.month_partitions());
+    prop_assert_eq!(merged.time_span(), rebuilt.time_span());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Chains of 1–8 `with_appended` batches (splices, tail appends, new
+    /// reviewers, new items with and without ratings) stay equal to a
+    /// `DatasetBuilder` rebuild through every accessor. Each version
+    /// shares with its parent every chunk outside `changed_items` and,
+    /// for a batch without new reviewers or items, the catalogue tables;
+    /// `copied_ratings` counts exactly the ratings of the rebuilt chunks.
+    #[test]
+    fn chained_appends_share_untouched_chunks(
+        ds in 0usize..2,
+        steps in proptest::collection::vec(
+            (
+                0usize..3,
+                0usize..3,
+                proptest::collection::vec(
+                    (0u8..4, any::<u32>(), any::<u32>(), 1u8..=5, -2i64..3),
+                    0..12,
+                ),
+            ),
+            1..=8,
+        ),
+    ) {
+        let mut parent = base_datasets()[ds].clone();
+        let mut tables = Tables::of(&parent);
+        for (new_users, new_items, ops) in &steps {
+            let batch = append_batch(&parent, *new_users, *new_items, ops);
+            tables.extend(&batch);
+            let mut rated: Vec<ItemId> = batch.ratings.iter().map(|r| r.item).collect();
+            rated.sort_unstable();
+            rated.dedup();
+            let mut changed: Vec<ItemId> = rated
+                .iter()
+                .copied()
+                .chain(batch.items.iter().map(|it| it.id))
+                .collect();
+            changed.sort_unstable();
+            changed.dedup();
+
+            let out = parent.with_appended(batch).unwrap();
+            let child = &out.dataset;
+            prop_assert_eq!(&out.changed_items, &changed);
+            for it in parent.items() {
+                if changed.binary_search(&it.id).is_err() {
+                    prop_assert!(Arc::ptr_eq(child.chunk(it.id), parent.chunk(it.id)));
+                }
+            }
+            let copied: usize = rated.iter().map(|&item| child.chunk(item).len()).sum();
+            prop_assert_eq!(out.copied_ratings, copied);
+            if *new_users == 0 {
+                prop_assert!(std::ptr::eq(child.users(), parent.users()));
+            }
+            if *new_items == 0 {
+                prop_assert!(std::ptr::eq(child.items(), parent.items()));
+                prop_assert!(std::ptr::eq(child.persons(), parent.persons()));
+            }
+            assert_same_ratings(child, &tables.rebuild())?;
+            parent = out.dataset;
+        }
     }
 }

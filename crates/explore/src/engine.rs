@@ -905,10 +905,10 @@ impl MapRatEngine {
         }
         let policy = self.inner.approx;
         let dataset = self.dataset();
-        // Cheap pre-gate on the whole rating column: `|R_I|` can't exceed
+        // Cheap pre-gate on the whole dataset: `|R_I|` can't exceed
         // it, so below-threshold datasets skip universe collection (which
         // the exact path would otherwise repeat).
-        if mode != ApproxMode::Force && !policy.should_sample(mode, dataset.ratings().len()) {
+        if mode != ApproxMode::Force && !policy.should_sample(mode, dataset.num_ratings()) {
             return None;
         }
         let miner = Miner::new(&dataset);
@@ -1707,7 +1707,7 @@ mod tests {
         let engine = engine();
         let dataset = engine.dataset();
         let universe = ItemQuery::title("Toy Story").rating_indexes(&dataset);
-        let total = dataset.ratings().len();
+        let total = dataset.num_ratings();
         assert!(
             universe.len() + 1 < total,
             "tiny scale: one title is a strict subset of all ratings"

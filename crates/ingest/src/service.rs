@@ -36,6 +36,10 @@ pub struct CommitReceipt {
     pub month: MonthKey,
     /// Items whose rating history changed (the scoped-invalidation set).
     pub changed_items: Vec<ItemId>,
+    /// Ratings written into the rebuilt chunks of the rated items (see
+    /// [`maprat_data::AppendResult::copied_ratings`]); the rest of the
+    /// dataset is shared with the previous version.
+    pub copied_ratings: usize,
     /// Cache entries dropped by the partition-scoped hot-swap.
     pub invalidated: usize,
 }
@@ -250,6 +254,7 @@ impl IngestService {
             new_items,
             month,
             changed_items: appended.changed_items,
+            copied_ratings: appended.copied_ratings,
             invalidated,
         })
     }

@@ -13,7 +13,7 @@ use maprat_core::query::ItemQuery;
 use maprat_core::{Miner, SearchSettings};
 use maprat_data::subset::by_time;
 use maprat_data::synth::{generate, SynthConfig};
-use maprat_data::{Dataset, ItemId, Score, TimeRange, Timestamp, UserId};
+use maprat_data::{Dataset, ItemId, Rating, Score, TimeRange, Timestamp, UserId};
 use maprat_explore::MapRatEngine;
 use maprat_ingest::{
     IngestBuffer, IngestService, ItemSpec, NewItem, NewUser, RatingEvent, UserSpec,
@@ -56,10 +56,10 @@ fn replay_tail(full: &Dataset, truncated: Dataset, cut: Timestamp) -> IngestServ
     assert_eq!(item_map.len(), truncated.items().len());
 
     // Tail ratings, bucketed into monthly commit batches.
-    let mut by_month: BTreeMap<_, Vec<usize>> = BTreeMap::new();
-    for (i, r) in full.ratings().iter().enumerate() {
+    let mut by_month: BTreeMap<_, Vec<&Rating>> = BTreeMap::new();
+    for r in full.ratings() {
         if !kept.contains(r.ts) {
-            by_month.entry(r.ts.month_key()).or_default().push(i);
+            by_month.entry(r.ts.month_key()).or_default().push(r);
         }
     }
     assert!(by_month.len() >= 3, "cut leaves a multi-month tail");
@@ -69,8 +69,7 @@ fn replay_tail(full: &Dataset, truncated: Dataset, cut: Timestamp) -> IngestServ
     let mut next_item = item_map.len();
     for indexes in by_month.values() {
         let mut buffer = IngestBuffer::new();
-        for &i in indexes {
-            let r = &full.ratings()[i];
+        for &r in indexes {
             let user = match user_map.get(&r.user) {
                 Some(&mapped) => UserSpec::Existing(mapped),
                 None => {
@@ -164,8 +163,8 @@ fn planted_scenarios_recover_after_ingest_replay() {
     assert_eq!(replayed.num_ratings(), full.num_ratings());
     // Entities without a single rating can't re-enter through the rating
     // stream; everything that ever rated (or was rated) must be back.
-    let rated_users: HashSet<UserId> = full.ratings().iter().map(|r| r.user).collect();
-    let rated_items: HashSet<ItemId> = full.ratings().iter().map(|r| r.item).collect();
+    let rated_users: HashSet<UserId> = full.ratings().map(|r| r.user).collect();
+    let rated_items: HashSet<ItemId> = full.ratings().map(|r| r.item).collect();
     assert_eq!(replayed.users().len(), rated_users.len());
     assert_eq!(replayed.items().len(), rated_items.len());
     assert_eq!(
@@ -328,7 +327,9 @@ fn racing_commits_and_explains_match_a_quiesced_serial_run() {
     let raced = svc.engine().dataset();
     let serial_final = states.last().unwrap();
     assert_eq!(raced.num_ratings(), serial_final.num_ratings());
-    assert_eq!(raced.ratings(), serial_final.ratings());
-    assert_eq!(raced.rating_user_codes(), serial_final.rating_user_codes());
+    assert!(raced.ratings().eq(serial_final.ratings()));
+    for it in serial_final.items() {
+        assert_eq!(raced.chunk(it.id), serial_final.chunk(it.id));
+    }
     assert_eq!(svc.commit_seq(), batches.len() as u64);
 }
