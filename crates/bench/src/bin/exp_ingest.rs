@@ -170,6 +170,7 @@ fn main() {
     let mut commit_latencies = Vec::with_capacity(commits);
     let mut copied_max = 0usize;
     let mut copies_only_touched_items = true;
+    let mut previous = service.engine().dataset();
     for c in 0..commits {
         let buffer = commit_buffer(c, batch);
         let start = Instant::now();
@@ -177,16 +178,27 @@ fn main() {
         commit_latencies.push(start.elapsed());
         assert_eq!(receipt.accepted, batch);
         // The committer is the only writer, so the served snapshot is the
-        // one this commit made: a commit may copy at most the ratings of
-        // the items it touched, never the whole dataset.
+        // one this commit made from `previous`. The ratings in chunks it
+        // does not share with `previous` are what it really copied: they
+        // must match the receipt and stay within the touched items.
         let snapshot = service.engine().dataset();
+        let rebuilt: usize = snapshot
+            .items()
+            .iter()
+            .filter(|it| {
+                it.id.index() >= previous.items().len()
+                    || !Arc::ptr_eq(snapshot.chunk(it.id), previous.chunk(it.id))
+            })
+            .map(|it| snapshot.chunk(it.id).len())
+            .sum();
         let touched: usize = receipt
             .changed_items
             .iter()
             .map(|&item| snapshot.ratings_for_item(item).len())
             .sum();
-        copies_only_touched_items &= receipt.copied_ratings <= touched;
-        copied_max = copied_max.max(receipt.copied_ratings);
+        copies_only_touched_items &= rebuilt == receipt.copied_ratings && rebuilt <= touched;
+        copied_max = copied_max.max(rebuilt);
+        previous = snapshot;
     }
     let commit_wall = commit_start.elapsed();
     done.store(true, Ordering::SeqCst);
@@ -279,7 +291,7 @@ fn main() {
         final_dataset.num_ratings() == base_ratings + ingested,
     );
     check.expect(
-        "no commit copied more than the ratings of the items it touched",
+        "every commit's unshared chunks hold its copied_ratings, within the items it touched",
         copies_only_touched_items,
     );
     check.expect(

@@ -14,7 +14,7 @@ use crate::error::DataError;
 use crate::ids::{ItemId, PersonId, RatingIdx, UserId};
 use crate::item::{Item, Person, Role};
 use crate::packed::PackedUserCode;
-use crate::partition::{add_months, MonthPartition};
+use crate::partition::{MonthCounter, MonthPartition};
 use crate::rating::Rating;
 use crate::stats::RatingStats;
 use crate::time::{TimeRange, Timestamp};
@@ -22,19 +22,28 @@ use crate::user::User;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Ratings a build frees from its sorted column before handing the memory
-/// back (1 MiB of 16-byte ratings).
-const SHRINK_STEP: usize = 1 << 16;
-
 /// `span` widened to take in every timestamp of `ratings`.
-fn widen_span(
+fn widen_span<'a>(
     span: Option<(Timestamp, Timestamp)>,
-    ratings: &[Rating],
+    ratings: impl IntoIterator<Item = &'a Rating>,
 ) -> Option<(Timestamp, Timestamp)> {
-    ratings.iter().fold(span, |span, r| match span {
+    ratings.into_iter().fold(span, |span, r| match span {
         None => Some((r.ts, r.ts)),
         Some((lo, hi)) => Some((lo.min(r.ts), hi.max(r.ts))),
     })
+}
+
+/// Rejects a rating timestamped outside [`Timestamp::in_calendar`].
+fn check_calendar(r: &Rating) -> Result<(), DataError> {
+    if r.ts.in_calendar() {
+        Ok(())
+    } else {
+        Err(DataError::Invalid(format!(
+            "rating of item {} at {} s lies outside the years 1-9999",
+            r.item,
+            r.ts.secs()
+        )))
+    }
 }
 
 /// The ratings of one item, sorted by `(ts, user)`, with the two dense
@@ -357,7 +366,9 @@ impl Dataset {
     /// shared with `self`.
     ///
     /// Returns the new dataset plus the items whose ratings changed (the
-    /// cache invalidation scope of a live commit).
+    /// cache invalidation scope of a live commit). A rating of an unknown
+    /// user or item, or timestamped outside [`Timestamp::in_calendar`],
+    /// rejects the whole batch.
     pub fn with_appended(&self, batch: AppendBatch) -> Result<AppendResult, DataError> {
         let AppendBatch {
             users: new_users,
@@ -401,6 +412,7 @@ impl Dataset {
             if r.item.index() >= num_items {
                 return Err(DataError::UnknownItem(r.item.0));
             }
+            check_calendar(r)?;
         }
 
         let mut users = Arc::clone(&self.users);
@@ -436,9 +448,9 @@ impl Dataset {
         changed.dedup();
 
         let mut months = self.months.clone();
-        if let Some(span) = widen_span(None, &new_ratings) {
-            add_months(&mut months, &new_ratings, span);
-        }
+        let mut counter = MonthCounter::default();
+        counter.add(&new_ratings);
+        counter.add_to(&mut months);
         let dataset = Dataset {
             users,
             catalogue,
@@ -612,16 +624,18 @@ impl DatasetBuilder {
         self.items.len()
     }
 
-    /// Validates referential integrity, sorts the ratings and builds all
+    /// Validates referential integrity and every rating's timestamp
+    /// against [`Timestamp::in_calendar`], sorts the ratings and builds all
     /// chunks and indexes.
     pub fn build(self) -> Result<Dataset, DataError> {
         let DatasetBuilder {
             users,
             items,
             persons,
-            mut ratings,
+            ratings,
         } = self;
 
+        let mut counts = vec![0usize; items.len()];
         for r in &ratings {
             if r.user.index() >= users.len() {
                 return Err(DataError::UnknownUser(r.user.0));
@@ -629,6 +643,8 @@ impl DatasetBuilder {
             if r.item.index() >= items.len() {
                 return Err(DataError::UnknownItem(r.item.0));
             }
+            check_calendar(r)?;
+            counts[r.item.index()] += 1;
         }
         for it in &items {
             for p in it.actors.iter().chain(it.directors.iter()) {
@@ -641,33 +657,35 @@ impl DatasetBuilder {
             }
         }
 
-        ratings.sort_unstable_by_key(|r| (r.item, r.ts, r.user));
-        let time_span = widen_span(None, &ratings);
-        let mut months = Vec::new();
-        if let Some(span) = time_span {
-            add_months(&mut months, &ratings, span);
+        // Scatter the ratings into exactly sized per-item vectors in
+        // insertion order and free the builder's column. Then sort each
+        // item's ratings by `(ts, user)` unless they already are (stably,
+        // so duplicate keys keep insertion order), count them per month
+        // and pack each rating's reviewer code (packed once per reviewer)
+        // and score bucket beside it.
+        let mut per_item: Vec<Vec<Rating>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for r in ratings {
+            per_item[r.item.index()].push(r);
         }
-
-        // Cut the sorted column into per-item chunks from its end, packing
-        // each rating's reviewer code (packed once per reviewer) and score
-        // bucket beside it. The column shrinks as chunks take its ratings
-        // over, so its memory goes back to the allocator instead of staying
-        // resident under the chunks.
         let codes: Vec<u16> = users
             .iter()
             .map(|u| PackedUserCode::pack(u).get())
             .collect();
-        let mut chunks: Vec<Arc<RatingChunk>> = Vec::with_capacity(items.len());
-        for it in items.iter().rev() {
-            let start = ratings.partition_point(|r| r.item < it.id);
-            let chunk = RatingChunk::pack(ratings[start..].to_vec(), |u| codes[u.index()]);
-            chunks.push(Arc::new(chunk));
-            ratings.truncate(start);
-            if ratings.capacity() - ratings.len() >= SHRINK_STEP {
-                ratings.shrink_to_fit();
-            }
-        }
-        chunks.reverse();
+        let mut time_span = None;
+        let mut counter = MonthCounter::default();
+        let chunks: Vec<Arc<RatingChunk>> = per_item
+            .into_iter()
+            .map(|mut run| {
+                if !run.is_sorted_by_key(|r| (r.ts, r.user)) {
+                    run.sort_by_key(|r| (r.ts, r.user));
+                }
+                time_span = widen_span(time_span, run.first().into_iter().chain(run.last()));
+                counter.add(&run);
+                Arc::new(RatingChunk::pack(run, |u| codes[u.index()]))
+            })
+            .collect();
+        let mut months = Vec::new();
+        counter.add_to(&mut months);
 
         Ok(Dataset {
             users: Arc::new(users),
@@ -871,6 +889,50 @@ mod tests {
             scan(&first),
             "first ratings of an empty column"
         );
+    }
+
+    #[test]
+    fn ratings_outside_the_calendar_are_rejected() {
+        let rate = |y: i64| {
+            Rating::new(
+                UserId(0),
+                ItemId(0),
+                Score::new(4).unwrap(),
+                Timestamp::from_ymd(y, 12, 31),
+            )
+        };
+        let base = sample();
+        // Both calendar ends are accepted, and the month counts match a
+        // full scan however far apart the batch's months are.
+        let edges = base
+            .with_appended(AppendBatch {
+                ratings: vec![rate(2003), rate(9999), rate(1)],
+                ..AppendBatch::new()
+            })
+            .unwrap()
+            .dataset;
+        let mut scan = std::collections::BTreeMap::new();
+        for r in edges.ratings() {
+            *scan.entry(r.ts.month_key()).or_insert(0u64) += 1;
+        }
+        let stored: Vec<_> = edges
+            .month_partitions()
+            .iter()
+            .map(|p| (p.month, p.num_ratings))
+            .collect();
+        assert_eq!(stored, scan.into_iter().collect::<Vec<_>>());
+        for year in [10_000, 99_999_999, 0] {
+            let appended = base.with_appended(AppendBatch {
+                ratings: vec![rate(2003), rate(year)],
+                ..AppendBatch::new()
+            });
+            assert!(matches!(appended, Err(DataError::Invalid(_))), "{year}");
+            let mut b = DatasetBuilder::new();
+            b.add_user(mk_user(0, UsState::CA));
+            b.add_item(mk_item(0, "Toy Story"));
+            b.add_rating(rate(year));
+            assert!(matches!(b.build(), Err(DataError::Invalid(_))), "{year}");
+        }
     }
 
     #[test]

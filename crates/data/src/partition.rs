@@ -23,37 +23,54 @@ pub struct MonthPartition {
     pub num_ratings: u64,
 }
 
-/// Adds the per-month counts of `ratings`, all timestamped inside `span`,
-/// to `months`, which stays ascending by month. Month boundaries are
-/// computed once per month of `span`, and each run of same-month ratings
-/// costs one search over them, so a column sorted by `(item, ts)` pays one
-/// search per item-month, not a calendar conversion per rating.
-pub(crate) fn add_months(
-    months: &mut Vec<MonthPartition>,
-    ratings: &[Rating],
-    (lo, hi): (Timestamp, Timestamp),
-) {
-    let keys: Vec<MonthKey> = lo.month_key().iter_through(hi.month_key()).collect();
-    let ends: Vec<Timestamp> = keys.iter().map(|m| m.end_exclusive()).collect();
-    let mut counts = vec![0u64; keys.len()];
-    let mut rest = ratings;
-    while let Some(first) = rest.first() {
-        let m = ends.partition_point(|&end| end <= first.ts);
-        let start = m.checked_sub(1).map_or(lo, |prev| ends[prev]);
-        let run = rest
-            .iter()
-            .take_while(|r| start <= r.ts && r.ts < ends[m])
-            .count();
-        counts[m] += run as u64;
-        rest = &rest[run..];
-    }
-    for (month, num_ratings) in keys.into_iter().zip(counts) {
-        if num_ratings == 0 {
-            continue;
+/// Per-month rating counts being gathered. Each month seen keeps its
+/// bounds, so a run of ratings inside a known month costs one search and
+/// no calendar conversion, and the work never depends on how many months
+/// the ratings span.
+#[derive(Debug, Default)]
+pub(crate) struct MonthCounter {
+    /// Ascending and disjoint: `(start, end_exclusive, counts)`.
+    seen: Vec<(Timestamp, Timestamp, MonthPartition)>,
+}
+
+impl MonthCounter {
+    /// Counts `ratings`. Consecutive same-month ratings are counted as one
+    /// run, so ratings sorted by timestamp within each item pay per
+    /// item-month, not per rating; any order is counted correctly.
+    pub(crate) fn add(&mut self, ratings: &[Rating]) {
+        let mut rest = ratings;
+        while let Some(first) = rest.first() {
+            let at = self.seen.partition_point(|&(_, end, _)| end <= first.ts);
+            if self
+                .seen
+                .get(at)
+                .is_none_or(|&(start, ..)| first.ts < start)
+            {
+                let month = first.ts.month_key();
+                let counts = MonthPartition {
+                    month,
+                    num_ratings: 0,
+                };
+                self.seen
+                    .insert(at, (month.start(), month.end_exclusive(), counts));
+            }
+            let (lo, hi, counts) = &mut self.seen[at];
+            let run = 1 + rest[1..]
+                .iter()
+                .take_while(|r| *lo <= r.ts && r.ts < *hi)
+                .count();
+            counts.num_ratings += run as u64;
+            rest = &rest[run..];
         }
-        match months.binary_search_by_key(&month, |p| p.month) {
-            Ok(at) => months[at].num_ratings += num_ratings,
-            Err(at) => months.insert(at, MonthPartition { month, num_ratings }),
+    }
+
+    /// Adds the gathered counts to `months`, which stays ascending by month.
+    pub(crate) fn add_to(self, months: &mut Vec<MonthPartition>) {
+        for (_, _, counts) in self.seen {
+            match months.binary_search_by_key(&counts.month, |p| p.month) {
+                Ok(at) => months[at].num_ratings += counts.num_ratings,
+                Err(at) => months.insert(at, counts),
+            }
         }
     }
 }
@@ -131,5 +148,38 @@ mod tests {
             .map(|p| (p.month, p.num_ratings))
             .collect();
         assert_eq!(stored, scan.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn month_counts_cost_nothing_per_month_of_span() {
+        use crate::ids::{ItemId, UserId};
+        use crate::score::Score;
+        let at = |y, m| {
+            Rating::new(
+                UserId(0),
+                ItemId(0),
+                Score::new(3).unwrap(),
+                Timestamp::from_ymd(y, m, 15),
+            )
+        };
+        // Two ratings 1.2e9 months apart, then a second item's run that
+        // steps back in time: only the three months rated are touched.
+        let mut counter = MonthCounter::default();
+        counter.add(&[at(2003, 1), at(99_999_999, 1)]);
+        counter.add(&[at(2003, 1), at(2003, 2)]);
+        let mut months = vec![MonthPartition {
+            month: MonthKey::new(2003, 2),
+            num_ratings: 5,
+        }];
+        counter.add_to(&mut months);
+        let got: Vec<(MonthKey, u64)> = months.iter().map(|p| (p.month, p.num_ratings)).collect();
+        assert_eq!(
+            got,
+            [
+                (MonthKey::new(2003, 1), 2),
+                (MonthKey::new(2003, 2), 6),
+                (MonthKey::new(99_999_999, 1), 1),
+            ]
+        );
     }
 }

@@ -45,6 +45,20 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 }
 
 impl Timestamp {
+    /// The first instant of year 1 (`0001-01-01`).
+    pub const CALENDAR_START: Timestamp = Timestamp(-62_135_596_800);
+
+    /// The first instant after year 9999 (`10000-01-01`), exclusive.
+    pub const CALENDAR_END: Timestamp = Timestamp(253_402_300_800);
+
+    /// True inside the years 1–9999, the calendar a dataset stores: every
+    /// such instant renders as `YYYY-MM-DD` and its month has a
+    /// [`MonthKey`]. Datasets and commits reject ratings outside it.
+    #[inline]
+    pub fn in_calendar(self) -> bool {
+        Self::CALENDAR_START <= self && self < Self::CALENDAR_END
+    }
+
     /// Builds a timestamp from a civil UTC date at midnight.
     pub fn from_ymd(year: i64, month: u32, day: u32) -> Self {
         Timestamp(days_from_civil(year, month, day) * SECS_PER_DAY)
@@ -255,6 +269,17 @@ mod tests {
     fn epoch_is_day_zero() {
         assert_eq!(days_from_civil(1970, 1, 1), 0);
         assert_eq!(civil_from_days(0), (1970, 1, 1));
+    }
+
+    #[test]
+    fn calendar_bounds_are_years_one_through_9999() {
+        assert_eq!(Timestamp::CALENDAR_START, Timestamp::from_ymd(1, 1, 1));
+        assert_eq!(Timestamp::CALENDAR_END, Timestamp::from_ymd(10_000, 1, 1));
+        assert!(Timestamp::CALENDAR_START.in_calendar());
+        assert!(Timestamp(Timestamp::CALENDAR_END.0 - 1).in_calendar());
+        assert!(!Timestamp::CALENDAR_END.in_calendar());
+        assert!(!Timestamp(Timestamp::CALENDAR_START.0 - 1).in_calendar());
+        assert!(!Timestamp::from_ymd(99_999_999, 1, 1).in_calendar());
     }
 
     #[test]

@@ -349,6 +349,12 @@ fn resolve(dataset: &Dataset, events: Vec<crate::RatingEvent>) -> Result<AppendB
                 id
             }
         };
+        if !event.ts.in_calendar() {
+            return Err(IngestError::Invalid(format!(
+                "rating timestamp {} s lies outside the years 1-9999",
+                event.ts.secs()
+            )));
+        }
         batch
             .ratings
             .push(Rating::new(user, item, event.score, event.ts));
@@ -470,6 +476,36 @@ mod tests {
             Err(IngestError::EmptyCommit)
         ));
         assert_eq!(svc.commit_seq(), 0, "failed commits advance nothing");
+    }
+
+    #[test]
+    fn commit_rejects_dates_outside_the_calendar_before_logging() {
+        let dir = temp_dir("wal-calendar");
+        let (svc, _) = IngestService::with_wal(
+            MapRatEngine::from_dataset(generate(&SynthConfig::tiny(211)).unwrap()),
+            &dir,
+        )
+        .unwrap();
+        let before = svc.engine().dataset();
+        let mut buffer = IngestBuffer::new();
+        for ym in [(2003, 1), (99_999_999, 1)] {
+            buffer
+                .push(rating(
+                    UserSpec::Existing(UserId(0)),
+                    ItemSpec::ByTitle("Toy Story".into()),
+                    4,
+                    ym,
+                ))
+                .unwrap();
+        }
+        assert!(matches!(
+            svc.commit(buffer),
+            Err(IngestError::Invalid(msg)) if msg.contains("years 1-9999")
+        ));
+        assert_eq!(svc.commit_seq(), 0);
+        assert_eq!(svc.wal_stats().unwrap().last_seq, 0, "nothing was logged");
+        assert!(Arc::ptr_eq(&before, &svc.engine().dataset()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

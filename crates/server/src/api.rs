@@ -1755,7 +1755,7 @@ fn date_from_str(s: &str) -> Result<Timestamp, ApiError> {
     let y: i64 = y.parse().map_err(|_| bad())?;
     let m: u32 = m.parse().map_err(|_| bad())?;
     let d: u32 = d.parse().map_err(|_| bad())?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
+    if !(1..=9999).contains(&y) || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
         return Err(bad());
     }
     Ok(Timestamp::from_ymd(y, m, d))

@@ -1248,6 +1248,11 @@ mod tests {
         let (status, reply) = post(s.port(), "/api/v1/ingest", body);
         assert_eq!(status, 400, "{reply}");
         assert!(reply.contains("ratings[0]"), "{reply}");
+        // A date beyond year 9999 is a 400 before anything is committed.
+        let body = r#"{"ratings":[{"user":0,"item":"Jaws","score":3,"ts":"99999999-01-01"}]}"#;
+        let (status, reply) = post(s.port(), "/api/v1/ingest", body);
+        assert_eq!(status, 400, "{reply}");
+        assert!(reply.contains("bad date"), "{reply}");
         // An empty batch is a 400, not a silent no-op.
         let (status, _) = post(s.port(), "/api/v1/ingest", r#"{"ratings":[]}"#);
         assert_eq!(status, 400);
