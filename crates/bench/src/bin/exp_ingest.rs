@@ -12,7 +12,9 @@
 //!
 //! Run: `cargo run --release -p maprat-bench --bin exp_ingest --
 //! [--commits N] [--batch N] [--readers N] [out.json]` (defaults:
-//! 8 commits × 64 ratings, 2 readers, output `BENCH_pr7.json`).
+//! 8 commits × 64 ratings, 2 readers, output `BENCH_ingest_head.json`
+//! — deliberately *not* the committed `BENCH_pr7.json` baseline, so a
+//! bare local run can never clobber what the gate compares against).
 //! `--check` enforces the shape contract and exits non-zero on violation
 //! (the CI smoke mode); `--baseline <committed.json> [--max-regress R]`
 //! gates the latency metrics against a committed snapshot (the CI
@@ -113,7 +115,7 @@ fn main() {
     let mut commits = 8usize;
     let mut batch = 64usize;
     let mut readers = 2usize;
-    let mut out_path = "BENCH_pr7.json".to_string();
+    let mut out_path = "BENCH_ingest_head.json".to_string();
     let mut gate = GateArgs::new(0.25);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

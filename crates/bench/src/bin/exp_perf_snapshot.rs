@@ -19,8 +19,12 @@
 //! `explain_coalesced_p99_ms` (8 identical concurrent cold explains
 //! riding ONE single-flight solve) — against the committed baseline and
 //! exits non-zero when any of them regressed by more than the tolerance
-//! (default +25%). Improvements never fail the gate. The snapshot
-//! additionally records `cube_build_*_ms` and
+//! (default +25%). Improvements never fail the gate. It also gates
+//! `cover_bytes_catalogue`, a deterministic counter: the
+//! [`maprat_cube::Bitmap::cover_bytes`] sum over the cubes the three
+//! cold explain classes build, so a change that makes cached cubes pin
+//! more cover memory fails the gate without any timing noise. The
+//! snapshot additionally records `cube_build_*_ms` and
 //! `explain_snapshot_hit_ms` (solve-only re-mining off the snapshot
 //! tier) for the materialization and serving trajectories.
 
@@ -40,12 +44,13 @@ fn mean_ms(n: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// The metrics the CI `perf-gate` job fails on.
-const GATED_KEYS: [&str; 5] = [
+const GATED_KEYS: [&str; 6] = [
     "rhe_solve_similarity_ms",
     "rhe_solve_diversity_ms",
     "explain_cold_single_ms",
     "explain_cold_catalogue_ms",
     "explain_coalesced_p99_ms",
+    "cover_bytes_catalogue",
 ];
 
 const BIN: &str = "exp_perf_snapshot";
@@ -127,12 +132,20 @@ fn main() {
         ));
     });
 
-    // Cold explain latency per query class (fresh engine per measurement).
+    // Cold explain latency per query class (fresh engine per
+    // measurement), and the cover bytes each class's cube pins.
     let settings = SearchSettings::default().with_min_coverage(0.15);
-    let cold_ms = |query: &ItemQuery| -> f64 {
+    let mut cover_bytes_catalogue = 0usize;
+    let mut cold_ms = |query: &ItemQuery| -> f64 {
         let engine = MapRatEngine::new(dataset_arc());
         let (result, elapsed) = time_once(|| engine.explain_query(query, &settings));
-        assert!(result.is_ok(), "cold explain must succeed");
+        let result = result.as_ref().as_ref().expect("cold explain must succeed");
+        cover_bytes_catalogue += result
+            .cube
+            .groups()
+            .iter()
+            .map(|g| g.cover.cover_bytes())
+            .sum::<usize>();
         elapsed.as_secs_f64() * 1e3
     };
     let explain_single_ms = cold_ms(&ItemQuery::title("Toy Story"));
@@ -293,6 +306,10 @@ fn main() {
         "  \"explain_coalesced_p99_ms\": {coalesced_p99_ms:.4},"
     );
     let _ = writeln!(json, "  \"explain_snapshot_hit_ms\": {snapshot_hit_ms:.4},");
+    let _ = writeln!(
+        json,
+        "  \"cover_bytes_catalogue\": {cover_bytes_catalogue},"
+    );
     let _ = writeln!(json, "  \"explain_batch8_ms\": {explain_batch8_ms:.4},");
     let _ = writeln!(
         json,

@@ -103,12 +103,14 @@ fn compare(
             .expect("snapshot carries every gated key");
         let limit = base * (1.0 + max_regress);
         let verdict = if new <= limit { "ok" } else { "REGRESSED" };
+        // Timings end in `_ms`; the other gated keys are counters.
+        let unit = if key.ends_with("_ms") { " ms" } else { "" };
         println!(
-            "[gate] {key:<key_width$} baseline {base:>9.4} ms | now {new:>9.4} ms | limit {limit:>9.4} ms | {verdict}"
+            "[gate] {key:<key_width$} baseline {base:>9.4}{unit} | now {new:>9.4}{unit} | limit {limit:>9.4}{unit} | {verdict}"
         );
         if new > limit {
             failures.push(format!(
-                "{key}: {new:.4} ms exceeds {limit:.4} ms (baseline {base:.4} ms +{:.0}%)",
+                "{key}: {new:.4}{unit} exceeds {limit:.4}{unit} (baseline {base:.4}{unit} +{:.0}%)",
                 max_regress * 100.0
             ));
         }

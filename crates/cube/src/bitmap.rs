@@ -9,15 +9,18 @@
 //! the tens of thousands) a dense cover is a few KiB and unions run at
 //! memory bandwidth.
 //!
-//! At `--scale huge` most fine-arity cells are nearly empty: thousands of
-//! blocks, a handful of set bits. Those covers use the **sparse** container
-//! — a sorted run of `(word, bits)` entries (12 bytes each) carved out of a
+//! Most cells of a cube are nearly empty: a MovieLens filmography cover
+//! spans a few hundred blocks and sets bits in a few dozen of them, and
+//! at `--scale huge` a fine-arity cell sets a handful of bits across
+//! thousands of blocks. Those covers use the **sparse** container — a
+//! sorted run of `(word, bits)` entries (12 bytes each) carved out of a
 //! per-cuboid `SparseStore`, chosen per cell by the builder's density
-//! threshold (`sparse_cover_eligible`). Every operation accepts any mix
-//! of representations and is pinned bit-identical to the dense code by the
-//! property tests below and by the retained naive oracle; mutation of a
-//! sparse (or pool-shared) bitmap copies it out to owned dense blocks
-//! first, so the representation is invisible to callers.
+//! threshold (`sparse_cover_eligible`) at any universe size. Every
+//! operation accepts any mix of representations and is pinned
+//! bit-identical to the dense code by the property tests below and by
+//! the retained naive oracle; mutation of a sparse (or pool-shared)
+//! bitmap copies it out to owned dense blocks first, so the
+//! representation is invisible to callers.
 
 use crate::kernels;
 use std::sync::{Arc, Mutex};
@@ -132,15 +135,55 @@ impl SparseStore {
     }
 }
 
-/// Minimum dense block count before the sparse container is considered.
-/// Below this a dense window is ≤ 8 KiB — cheap to zero, L1/L2-resident
-/// for the kernels — while every sparse cover pays a per-survivor sort
-/// in the fill pass; measured at MovieLens scale (250-word covers) that
-/// sort costs ~15% of the whole build for a memory saving that does not
-/// matter at those sizes. The sparse container is for the huge-scale
-/// regime (tens of thousands of words per cover), where the dense form
-/// wastes megabytes per nearly-empty cell.
-const SPARSE_MIN_WORDS: usize = 1024;
+/// Scratch that folds one cover's raw word entries — runs of rolled-up
+/// profiles, each ascending, together unordered and repeating words —
+/// into canonical form without sorting.
+///
+/// The entries are ORed into a zeroed word window while each touched
+/// word sets its bit in a bitmap of marks. Draining the marks visits the
+/// touched words in ascending order and re-zeroes both, at `words / 64`
+/// loads plus one step per entry. An already canonical run — a cell of
+/// one profile, as every cell of the finest cuboid is — is copied as is.
+#[derive(Debug)]
+pub(crate) struct SparseFold {
+    folded: Vec<u64>,
+    marks: Vec<u64>,
+}
+
+impl SparseFold {
+    /// Zeroed scratch for covers over `words` dense blocks.
+    pub(crate) fn new(words: usize) -> Self {
+        SparseFold {
+            folded: vec![0; words],
+            marks: vec![0; words.div_ceil(64)],
+        }
+    }
+
+    /// Appends the canonical form of the entries `(idx[i], bits[i])` —
+    /// every `bits[i]` non-zero, every word inside the scratch's window —
+    /// to `store`, and leaves the scratch zeroed.
+    pub(crate) fn append(&mut self, idx: &[u32], bits: &[u64], store: &mut SparseStore) {
+        debug_assert!(bits.iter().all(|&b| b != 0), "sparse entries carry bits");
+        if idx.windows(2).all(|p| p[0] < p[1]) {
+            store.words.extend_from_slice(idx);
+            store.bits.extend_from_slice(bits);
+            return;
+        }
+        for (&w, &b) in idx.iter().zip(bits) {
+            let w = w as usize;
+            self.marks[w / 64] |= 1 << (w % 64);
+            self.folded[w] |= b;
+        }
+        for (m, mark) in self.marks.iter_mut().enumerate() {
+            let mut mark_bits = std::mem::take(mark);
+            while mark_bits != 0 {
+                let w = m * 64 + mark_bits.trailing_zeros() as usize;
+                mark_bits &= mark_bits - 1;
+                store.push(w as u32, std::mem::take(&mut self.folded[w]));
+            }
+        }
+    }
+}
 
 /// Whether a cover over `words` dense blocks with `raw_entries` scattered
 /// word entries (pre-fold, as counted by the plan's `entry_offsets`)
@@ -151,8 +194,15 @@ const SPARSE_MIN_WORDS: usize = 1024;
 /// saving per sparse cover, before fold dedup shrinks it further. The
 /// decision is a pure function of plan-level counts, so every build of
 /// the same plan picks the same representation for a cover.
+///
+/// Density alone decides, at every universe size. A MovieLens-scale
+/// dense window is only a few KiB, but the engine's cache tiers pin
+/// every cover of every cached cube, and most of those words are zero:
+/// dense, the cached hot set's covers take several times the bytes
+/// (`PERF.md`, PR 22). Building the sparse form costs no more than
+/// zeroing the dense window, since [`SparseFold`] needs no sort.
 pub(crate) fn sparse_cover_eligible(words: usize, raw_entries: usize) -> bool {
-    words >= SPARSE_MIN_WORDS && raw_entries <= words / 4
+    raw_entries <= words / 4
 }
 
 /// `#[cold]` out-of-line panic for the universe checks: every binary
@@ -964,14 +1014,7 @@ mod tests {
     fn both_reprs(seed: u64, universe: usize, approx: usize) -> (Bitmap, Bitmap) {
         let positions = random_positions(seed, universe, approx);
         let dense = Bitmap::from_positions(universe, positions.clone());
-        let mut entries: Vec<(u32, u64)> = Vec::new();
-        for p in positions {
-            match entries.last_mut() {
-                Some((w, b)) if *w as usize == p / 64 => *b |= 1u64 << (p % 64),
-                _ => entries.push(((p / 64) as u32, 1u64 << (p % 64))),
-            }
-        }
-        let sparse = Bitmap::from_entries(universe, entries);
+        let sparse = Bitmap::from_entries(universe, entries_of(positions));
         assert!(sparse.is_sparse() && !dense.is_sparse());
         (dense, sparse)
     }
@@ -1079,17 +1122,58 @@ mod tests {
 
     #[test]
     fn eligibility_threshold_is_a_quarter_of_the_words() {
-        assert!(!sparse_cover_eligible(4, 1), "tiny universes stay dense");
+        assert!(sparse_cover_eligible(4, 1), "density alone decides");
         assert!(
-            !sparse_cover_eligible(1000, 0),
-            "MovieLens-scale covers stay dense: the window is KiB-cheap \
-             and the fill-pass sort is not"
+            sparse_cover_eligible(1000, 0),
+            "no size floor: MovieLens-scale covers go sparse too"
         );
         assert!(sparse_cover_eligible(1024, 256));
         assert!(!sparse_cover_eligible(1024, 257));
         assert!(sparse_cover_eligible(100_000, 25_000));
         assert!(!sparse_cover_eligible(100_000, 25_001));
         assert!(sparse_cover_eligible(1024, 0));
+    }
+
+    /// Canonical `(word, bits)` entries of ascending positions.
+    fn entries_of(positions: impl IntoIterator<Item = usize>) -> Vec<(u32, u64)> {
+        let mut entries: Vec<(u32, u64)> = Vec::new();
+        for p in positions {
+            match entries.last_mut() {
+                Some((w, b)) if *w as usize == p / 64 => *b |= 1u64 << (p % 64),
+                _ => entries.push(((p / 64) as u32, 1u64 << (p % 64))),
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn sparse_fold_matches_a_map_fold() {
+        let words = 10_000usize;
+        let mut fold = SparseFold::new(words);
+        let mut store = SparseStore::new();
+        for seed in 0..6u64 {
+            let positions = random_positions(seed, words * 64, 40 + 30 * seed as usize);
+            // One ascending run (the copy path), or three interleaved runs
+            // that revisit each other's words (the fold path).
+            let runs = if seed == 0 { 1 } else { 3 };
+            let raw: Vec<(u32, u64)> = (0..runs)
+                .flat_map(|run| entries_of(positions.iter().copied().skip(run).step_by(runs)))
+                .collect();
+            let (idx, bits): (Vec<u32>, Vec<u64>) = raw.into_iter().unzip();
+            let start = store.len();
+            fold.append(&idx, &bits, &mut store);
+            let got: Vec<(u32, u64)> = store.words[start..]
+                .iter()
+                .copied()
+                .zip(store.bits[start..].iter().copied())
+                .collect();
+            assert_eq!(got, entries_of(positions), "seed {seed}");
+        }
+        assert!(
+            fold.folded.iter().all(|&w| w == 0),
+            "drain re-zeroes the window"
+        );
+        assert!(fold.marks.iter().all(|&m| m == 0));
     }
 
     #[test]

@@ -271,8 +271,9 @@ impl CubePlan {
     /// over the shared pool, then assembles the cube. Survivors below
     /// the density threshold ([`crate::bitmap`]'s
     /// `sparse_cover_eligible`) take the sparse run container — their
-    /// folded `(word, bits)` entries share one per-cuboid store instead
-    /// of mostly-zero dense windows.
+    /// `(word, bits)` entries, folded without a sort
+    /// (`bitmap::SparseFold`), share one per-cuboid store instead of
+    /// mostly-zero dense windows.
     ///
     /// Per cuboid the word entries are first regrouped *by survivor* (a
     /// counting sort over the compact entry lists — cache-resident), and
@@ -335,52 +336,35 @@ impl CubePlan {
             let mut dense_list: Vec<u32> = Vec::with_capacity(n);
             let mut sparse_total = 0usize;
             let mut sparse_count = 0usize;
-            let mut scratch_cap = 0usize;
             for l in 0..n {
                 if crate::bitmap::sparse_cover_eligible(words, raw_entries(l)) {
                     sparse_total += raw_entries(l);
                     sparse_count += 1;
-                    scratch_cap = scratch_cap.max(raw_entries(l));
                 } else {
                     dense_list.push(l as u32);
                 }
             }
             let mut covers: Vec<Option<Bitmap>> = vec![None; n];
 
-            // Sparse survivors: sort each one's scattered entries by
-            // word and fold duplicates into the cuboid's shared
-            // entry store (one allocation for all sparse covers of
-            // the cuboid, mirroring the dense chunk pools).
+            // Sparse survivors: each one's entries, folded to canonical
+            // form, go into the cuboid's shared entry store (one
+            // allocation for all sparse covers of the cuboid, mirroring
+            // the dense chunk pools).
             if sparse_count > 0 {
                 let mut store = crate::bitmap::SparseStore::with_capacity(sparse_total);
                 let mut windows: Vec<(u32, u32, u32)> = Vec::with_capacity(sparse_count);
-                let mut scratch: Vec<(u32, u64)> = Vec::with_capacity(scratch_cap);
+                let mut fold = crate::bitmap::SparseFold::new(words);
                 for l in 0..n {
                     if !crate::bitmap::sparse_cover_eligible(words, raw_entries(l)) {
                         continue;
                     }
                     let range = entry_offsets[l] as usize..entry_offsets[l + 1] as usize;
-                    scratch.clear();
-                    scratch.extend(
-                        surv_word_idx[range.clone()]
-                            .iter()
-                            .copied()
-                            .zip(surv_word_bits[range].iter().copied()),
-                    );
-                    scratch.sort_unstable_by_key(|&(w, _)| w);
                     let start = store.len();
-                    let mut it = scratch.iter().copied();
-                    if let Some((mut cw, mut cb)) = it.next() {
-                        for (w, b) in it {
-                            if w == cw {
-                                cb |= b;
-                            } else {
-                                store.push(cw, cb);
-                                (cw, cb) = (w, b);
-                            }
-                        }
-                        store.push(cw, cb);
-                    }
+                    fold.append(
+                        &surv_word_idx[range.clone()],
+                        &surv_word_bits[range],
+                        &mut store,
+                    );
                     windows.push((l as u32, start as u32, (store.len() - start) as u32));
                 }
                 let store = store.seal();

@@ -100,6 +100,35 @@ fn multi_item_universe_matches_oracle() {
     }
 }
 
+/// A whole-dataset universe (94 words per cover) puts fine and coarse
+/// cells alike in the sparse container: finest cells copy one profile's
+/// ascending run, coarser ones fold several profiles' interleaved runs.
+/// Both must equal the oracle's covers.
+#[test]
+fn sparse_covers_of_every_arity_match_oracle() {
+    let dataset = &datasets()[1];
+    let idx: Vec<u32> = (0..dataset.num_ratings() as u32).collect();
+    for require_geo in [false, true] {
+        let options = CubeOptions {
+            min_support: 5,
+            require_geo,
+            max_arity: 4,
+        };
+        let naive = build_naive(dataset, idx.clone(), options.clone());
+        let built = RatingCube::build(dataset, idx.clone(), options);
+        assert_cubes_identical(&naive, &built);
+        let sparse_at = |fine: bool| {
+            built
+                .groups()
+                .iter()
+                .filter(|g| g.cover.is_sparse() && (g.desc.arity() == 4) == fine)
+                .count()
+        };
+        assert!(sparse_at(true) > 0, "no finest-cuboid cover went sparse");
+        assert!(sparse_at(false) > 0, "no rolled-up cover went sparse");
+    }
+}
+
 /// An empty universe builds an empty cube through both builders.
 #[test]
 fn empty_universe_matches_oracle() {

@@ -107,3 +107,117 @@ proptest! {
         prop_assert_eq!(desc.matches(&probe), desc == probe_proj);
     }
 }
+
+/// Cover words of a catalogue-sized universe: a MovieLens filmography
+/// cover spans about 281 words.
+const CATALOGUE_WORDS: u32 = 320;
+
+/// Raw `(word, bits)` draws for a sparse cover: at most a quarter of the
+/// words (the builder's density rule), each word one planted bit or a
+/// random pattern.
+fn sparse_words() -> impl Strategy<Value = Vec<(u32, u64)>> {
+    proptest::collection::vec(
+        (0u32..CATALOGUE_WORDS, any::<u64>(), any::<bool>(), 0u32..64),
+        0..(CATALOGUE_WORDS / 4) as usize,
+    )
+    .prop_map(|raw| {
+        raw.into_iter()
+            .map(|(w, pattern, one_bit, bit)| (w, if one_bit { 1 << bit } else { pattern }))
+            .collect()
+    })
+}
+
+/// The same set as a sparse-container cover and as a dense bitmap over
+/// `0..universe`: draws are folded into canonical entries (ascending
+/// distinct words, bits inside the universe, none empty).
+fn sparse_and_dense(universe: usize, raw: &[(u32, u64)]) -> (Bitmap, Bitmap) {
+    let words = universe.div_ceil(64);
+    let mut folded = vec![0u64; words];
+    for &(w, bits) in raw {
+        if (w as usize) < words {
+            folded[w as usize] |= bits;
+        }
+    }
+    if !universe.is_multiple_of(64) {
+        folded[words - 1] &= u64::MAX >> (64 - universe % 64);
+    }
+    let entries: Vec<(u32, u64)> = (0..words as u32)
+        .zip(folded.iter().copied())
+        .filter(|&(_, bits)| bits != 0)
+        .collect();
+    let positions = entries.iter().flat_map(|&(w, bits)| {
+        (0..64)
+            .filter(move |b| bits >> b & 1 == 1)
+            .map(move |b| w as usize * 64 + b)
+    });
+    let dense = Bitmap::from_positions(universe, positions);
+    let sparse = Bitmap::from_entries(universe, entries);
+    (sparse, dense)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every `Bitmap` operation over catalogue-sized sparse covers —
+    /// against each other, against their dense twins and against a
+    /// well-filled dense union — agrees with the dense kernels (which
+    /// `MAPRAT_KERNELS` selects) and with a set oracle.
+    #[test]
+    fn catalogue_sized_sparse_covers_match_the_dense_oracle(
+        universe in 12_000usize..20_480,
+        xs in sparse_words(),
+        ys in sparse_words(),
+        fill in proptest::collection::vec(0usize..20_480, 0..6_000),
+    ) {
+        let (sx, dx) = sparse_and_dense(universe, &xs);
+        let (sy, dy) = sparse_and_dense(universe, &ys);
+        let dz = Bitmap::from_positions(universe, fill.into_iter().filter(|&p| p < universe));
+        prop_assert!(sx.is_sparse() && sy.is_sparse() && !dx.is_sparse());
+        prop_assert!(sx.cover_bytes() <= dx.cover_bytes());
+        let set_x: BTreeSet<usize> = dx.iter().collect();
+        prop_assert_eq!(sx.iter().collect::<BTreeSet<_>>(), set_x.clone());
+        prop_assert_eq!(sx.count(), set_x.len());
+        prop_assert_eq!(sx.is_empty(), set_x.is_empty());
+        for p in (0..universe).step_by(97) {
+            prop_assert_eq!(sx.get(p), set_x.contains(&p));
+        }
+        let words = |bm: &Bitmap| {
+            let mut v = Vec::new();
+            bm.for_each_set_word(|w, bits| v.push((w, bits)));
+            v
+        };
+        prop_assert_eq!(words(&sx), words(&dx));
+
+        for (a, da) in [(&sx, &dx), (&dx, &dx), (&dz, &dz)] {
+            for (b, db) in [(&sy, &dy), (&dy, &dy), (&sx, &dx), (&dz, &dz)] {
+                prop_assert_eq!(a == b, da == db);
+                prop_assert_eq!(a.intersection_count(b), da.intersection_count(db));
+                prop_assert_eq!(a.union_count(b), da.union_count(db));
+                prop_assert_eq!(a.is_subset_of(b), da.is_subset_of(db));
+                let mut got = a.clone();
+                let mut want = da.clone();
+                got.union_with(b);
+                want.union_with(db);
+                prop_assert_eq!(&got, &want);
+                got.copy_from(a);
+                want.copy_from(da);
+                got.intersect_with(b);
+                want.intersect_with(db);
+                prop_assert_eq!(&got, &want);
+                got.copy_from(a);
+                want.copy_from(da);
+                got.subtract(b);
+                want.subtract(db);
+                prop_assert_eq!(&got, &want);
+            }
+        }
+        // The coverage union the solver builds: sparse covers folded
+        // into one scratch bitmap.
+        let mut union = Bitmap::new(universe);
+        union.union_with(&sx);
+        union.union_with(&sy);
+        let set_y: BTreeSet<usize> = dy.iter().collect();
+        prop_assert_eq!(union.count(), set_x.union(&set_y).count());
+        prop_assert!(sx.is_subset_of(&union) && sy.is_subset_of(&union));
+    }
+}

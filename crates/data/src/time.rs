@@ -122,6 +122,14 @@ impl MonthKey {
         MonthKey(self.0 + 1)
     }
 
+    /// The month `months` after this one, or `None` past the end of the
+    /// key range.
+    #[inline]
+    pub fn checked_add(self, months: usize) -> Option<MonthKey> {
+        let months = i32::try_from(months).ok()?;
+        self.0.checked_add(months).map(MonthKey)
+    }
+
     /// Number of months from `self` to `other` (negative if `other` earlier).
     #[inline]
     pub fn months_until(self, other: MonthKey) -> i32 {
@@ -316,6 +324,20 @@ mod tests {
     #[test]
     fn month_key_succ_wraps_year() {
         assert_eq!(MonthKey::new(2000, 12).succ(), MonthKey::new(2001, 1));
+    }
+
+    #[test]
+    fn month_key_checked_add_stops_at_the_key_range() {
+        assert_eq!(
+            MonthKey::new(2000, 11).checked_add(14),
+            Some(MonthKey::new(2002, 1))
+        );
+        assert_eq!(
+            MonthKey::new(2000, 1).checked_add(0),
+            Some(MonthKey::new(2000, 1))
+        );
+        assert_eq!(MonthKey::new(2000, 1).checked_add(4_000_000_000), None);
+        assert_eq!(MonthKey(i32::MAX).checked_add(1), None);
     }
 
     #[test]

@@ -47,11 +47,23 @@ pub struct TimeSlider {
 }
 
 impl TimeSlider {
-    /// Builds a slider spanning the whole dataset history.
+    /// Number of calendar months the dataset's ratings span, first
+    /// through last inclusive; 0 for a dataset without ratings.
+    pub fn span_months(dataset: &Dataset) -> usize {
+        dataset.time_span().map_or(0, |(lo, hi)| {
+            lo.month_key().months_until(hi.month_key()) as usize + 1
+        })
+    }
+
+    /// Builds a slider spanning the whole dataset history. `None` when the
+    /// dataset has no ratings, or when `window` or `step` is 0 or longer
+    /// than [`span_months`](Self::span_months) — which keeps every
+    /// window's last month within reach of the calendar.
     pub fn over_dataset(dataset: &Dataset, window: usize, step: usize) -> Option<TimeSlider> {
         let (lo, hi) = dataset.time_span()?;
         let months: Vec<MonthKey> = lo.month_key().iter_through(hi.month_key()).collect();
-        (window >= 1 && step >= 1).then_some(TimeSlider {
+        let span = 1..=months.len();
+        (span.contains(&window) && span.contains(&step)).then_some(TimeSlider {
             months,
             window,
             step,
@@ -68,10 +80,9 @@ impl TimeSlider {
 
     /// The inclusive month range of the window starting at `from`.
     pub fn window_at(&self, from: MonthKey) -> (MonthKey, MonthKey) {
-        let mut to = from;
-        for _ in 1..self.window {
-            to = to.succ();
-        }
+        let to = from
+            .checked_add(self.window - 1)
+            .expect("the window is bounded by the dataset's span");
         (from, to)
     }
 
@@ -314,6 +325,22 @@ mod tests {
         let slider = TimeSlider::over_dataset(&d, 6, 3).unwrap();
         let (from, to) = slider.window_at(MonthKey::new(2001, 2));
         assert_eq!(from.months_until(to), 5);
+    }
+
+    #[test]
+    fn window_and_step_are_bounded_by_the_span() {
+        let d = generate(&SynthConfig::tiny(132)).unwrap();
+        let span = TimeSlider::span_months(&d);
+        assert!(span > 1);
+        assert!(TimeSlider::over_dataset(&d, span, span).is_some());
+        assert!(TimeSlider::over_dataset(&d, span + 1, 1).is_none());
+        assert!(TimeSlider::over_dataset(&d, 1, span + 1).is_none());
+        assert!(TimeSlider::over_dataset(&d, 4_000_000_000, 1_000_000).is_none());
+        assert!(TimeSlider::over_dataset(&d, 0, 1).is_none());
+        let slider = TimeSlider::over_dataset(&d, span, 1).unwrap();
+        let last = *slider.positions().last().unwrap();
+        let (_, to) = slider.window_at(last);
+        assert_eq!(last.months_until(to) as usize, span - 1);
     }
 
     #[test]

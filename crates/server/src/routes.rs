@@ -383,10 +383,15 @@ impl AppState {
             Ok(r) => r,
             Err(e) => return e.into_response(),
         };
-        let Some(slider) =
-            TimeSlider::over_dataset(&self.engine.dataset(), request.window, request.step)
-        else {
-            return ApiError::bad_request("dataset has no ratings").into_response();
+        let dataset = self.engine.dataset();
+        let Some(slider) = TimeSlider::over_dataset(&dataset, request.window, request.step) else {
+            return ApiError::bad_request(format!(
+                "window={} and step={} must not exceed the dataset's span of {} months",
+                request.window,
+                request.step,
+                TimeSlider::span_months(&dataset)
+            ))
+            .into_response();
         };
         let points = slider.sweep(
             &self.engine,
@@ -812,6 +817,50 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         let v = Json::parse(&body).unwrap();
         assert!(v.get("points").unwrap().len().unwrap() >= 2);
+    }
+
+    #[test]
+    fn timeline_window_longer_than_the_span_is_400() {
+        let s = server();
+        let span = TimeSlider::span_months(&shared_dataset());
+        let error_code = |body: &str| {
+            let v = Json::parse(body).unwrap();
+            let code = v.get("error").unwrap().get("code").unwrap().as_str();
+            code.map(str::to_string)
+        };
+        // Once wrapped the window's end month below its start and
+        // panicked in the handler, leaving the client without a reply.
+        let (status, body) = get(
+            s.port(),
+            "/api/v1/timeline?q=Toy%20Story&window=4000000000&step=1000000",
+        );
+        assert_eq!(status, 400, "{body}");
+        assert_eq!(error_code(&body).as_deref(), Some("bad_request"));
+        assert!(body.contains(&format!("span of {span} months")), "{body}");
+        for target in [
+            format!("/api/v1/timeline?q=Toy+Story&geo=0&window={}", span + 1),
+            format!(
+                "/api/v1/timeline?q=Toy+Story&geo=0&window=6&step={}",
+                span + 1
+            ),
+        ] {
+            let (status, body) = get(s.port(), &target);
+            assert_eq!(status, 400, "{target}: {body}");
+        }
+        let body = r#"{"query":{"terms":[{"field":"title","value":"Toy Story"}]},"window":4000000000,"step":1000000}"#;
+        let (status, reply) = post(s.port(), "/api/v1/timeline", body);
+        assert_eq!(status, 400, "{reply}");
+        assert_eq!(error_code(&reply).as_deref(), Some("bad_request"));
+
+        // The benchmark's 18-month windows and a window of the whole span
+        // still answer.
+        for target in [
+            "/api/v1/timeline?q=Toy+Story&coverage=0.1&geo=0&window=18".to_string(),
+            format!("/api/v1/timeline?q=Toy+Story&coverage=0.1&geo=0&window={span}&step={span}"),
+        ] {
+            let (status, body) = get(s.port(), &target);
+            assert_eq!(status, 200, "{target}: {body}");
+        }
     }
 
     #[test]

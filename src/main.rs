@@ -54,8 +54,12 @@ fn run_explain(spec: &QuerySpec, svg: Option<String>) -> Result<(), String> {
 fn run_timeline(spec: &QuerySpec, window: usize) -> Result<(), String> {
     let engine = engine_for(&spec.data)?;
     let query = spec.to_query()?;
-    let slider = TimeSlider::over_dataset(&engine.dataset(), window.max(1), window.max(1))
-        .ok_or("dataset has no ratings")?;
+    let dataset = engine.dataset();
+    let slider =
+        TimeSlider::over_dataset(&dataset, window.max(1), window.max(1)).ok_or_else(|| {
+            let span = TimeSlider::span_months(&dataset);
+            format!("--window must not exceed the dataset's span of {span} months")
+        })?;
     let points = slider.sweep(&engine, &query, &spec.to_settings()?);
     print!("{}", render_sweep(&points));
     Ok(())
